@@ -144,6 +144,8 @@ pub struct CoordServer {
     /// Where MSUs register.
     pub msu_addr: SocketAddr,
     handles: Vec<JoinHandle<()>>,
+    /// Dropping it ends the heartbeat monitor's wait at once.
+    heartbeat_stop: Option<crossbeam::channel::Sender<()>>,
 }
 
 impl CoordServer {
@@ -187,11 +189,14 @@ impl CoordServer {
                 accept_clients(inner, client_listener)
             }));
         }
+        let mut heartbeat_stop = None;
         if cfg.heartbeat_interval > Duration::ZERO {
             let inner = Arc::clone(&inner);
             let (interval, misses) = (cfg.heartbeat_interval, cfg.heartbeat_misses.max(1));
+            let (stop_tx, stop_rx) = crossbeam::channel::bounded(1);
+            heartbeat_stop = Some(stop_tx);
             handles.push(std::thread::spawn(move || {
-                heartbeat_loop(&inner, interval, misses)
+                heartbeat_loop(&inner, interval, misses, &stop_rx)
             }));
         }
 
@@ -200,6 +205,7 @@ impl CoordServer {
             client_addr,
             msu_addr,
             handles,
+            heartbeat_stop,
         })
     }
 
@@ -228,6 +234,7 @@ impl CoordServer {
     pub fn shutdown(mut self) {
         calliope_obs::flight::unregister("coord");
         self.inner.stop.store(true, Ordering::Release);
+        drop(self.heartbeat_stop.take());
         // Poke the listeners so `accept` returns.
         let _ = TcpStream::connect(self.client_addr);
         let _ = TcpStream::connect(self.msu_addr);
@@ -405,18 +412,19 @@ fn fail_msu(inner: &Inner, msu: MsuId) {
 /// consecutive unanswered probes fail the MSU. This is the detector for
 /// *wedged* MSUs — process alive, TCP connection open, control loop
 /// stuck — which the §2.2 TCP-break detector cannot see.
-fn heartbeat_loop(inner: &Arc<Inner>, interval: Duration, max_misses: u32) {
+fn heartbeat_loop(
+    inner: &Arc<Inner>,
+    interval: Duration,
+    max_misses: u32,
+    stop: &crossbeam::channel::Receiver<()>,
+) {
     let mut misses: HashMap<MsuId, u32> = HashMap::new();
     loop {
-        // Sleep one interval in small slices so shutdown stays prompt.
-        let mut slept = Duration::ZERO;
-        while slept < interval {
-            if inner.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let slice = Duration::from_millis(20).min(interval - slept);
-            std::thread::sleep(slice);
-            slept += slice;
+        // Sleep one whole interval; shutdown drops the sender, which
+        // ends the wait at once.
+        match stop.recv_timeout(interval) {
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+            _ => return,
         }
         for msu in inner.conns.ids() {
             if inner.stop.load(Ordering::Acquire) {

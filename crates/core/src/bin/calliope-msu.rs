@@ -7,10 +7,13 @@
 //!
 //! Opens (or formats) `N` file-backed disks of `blocks` × 256 KB under
 //! the data directory, registers with the Coordinator, and serves
-//! streams until killed. `--previous` re-registers under a prior
-//! identity after a restart (paper §2.2 fault tolerance).
+//! streams until killed. `--tick-ms` is the network thread's timer
+//! granularity: the minimum gap between two timer wakeups of the pacer,
+//! which otherwise sleeps until the next packet deadline (default 1 ms;
+//! smaller values trade CPU for jitter). `--previous` re-registers
+//! under a prior identity after a restart (paper §2.2 fault tolerance).
 
-use calliope_msu::config::{DiskSpec, MsuConfig};
+use calliope_msu::config::{DiskSpec, MsuConfig, DEFAULT_NET_TICK};
 use calliope_msu::MsuServer;
 use calliope_types::MsuId;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
@@ -19,7 +22,10 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: calliope-msu --coordinator HOST:PORT [--data-dir PATH] \
-         [--disks N] [--blocks N] [--bind IP] [--tick-ms N] [--previous ID]"
+         [--disks N] [--blocks N] [--bind IP] [--tick-ms N] [--previous ID]\n\
+         \x20 --tick-ms N  minimum gap between pacing timer wakeups in ms (default {}); \
+         smaller values trade CPU for jitter",
+        DEFAULT_NET_TICK.as_millis()
     );
     std::process::exit(2);
 }
@@ -31,7 +37,7 @@ fn main() {
     let mut disks = 2usize;
     let mut blocks = 8192u64; // a 2 GB "Barracuda", sparse on disk
     let mut bind_ip = IpAddr::V4(Ipv4Addr::LOCALHOST);
-    let mut tick_ms = 10u64;
+    let mut tick_ms = DEFAULT_NET_TICK.as_millis() as u64;
     let mut previous: Option<MsuId> = None;
 
     let mut args = std::env::args().skip(1);

@@ -7,7 +7,7 @@
 
 use calliope_client::CalliopeClient;
 use calliope_coord::{CoordConfig, CoordServer};
-use calliope_msu::config::{DiskSpec, MsuConfig};
+use calliope_msu::config::{DiskSpec, MsuConfig, DEFAULT_NET_TICK};
 use calliope_msu::MsuServer;
 use calliope_storage::{FaultControl, FaultPlan};
 use calliope_types::error::Result;
@@ -48,7 +48,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Network-process timer granularity (default: the paper's 10 ms).
+    /// Network-process timer granularity: the minimum gap between the
+    /// pacing thread's timer wakeups (default
+    /// [`DEFAULT_NET_TICK`](calliope_msu::config::DEFAULT_NET_TICK)).
     pub fn net_tick(mut self, tick: Duration) -> Self {
         self.net_tick = tick;
         self
@@ -149,7 +151,7 @@ impl Cluster {
             msus: 1,
             disks_per_msu: 2,
             disk_blocks: 64,
-            net_tick: Duration::from_millis(10),
+            net_tick: DEFAULT_NET_TICK,
             data_dir: None,
             fault_plans: Vec::new(),
             heartbeat_interval: coord_defaults.heartbeat_interval,

@@ -26,6 +26,10 @@ impl DiskSpec {
     }
 }
 
+/// Default [`MsuConfig::net_tick`], shared by every way of starting an
+/// MSU (tests, `Cluster`, `calliope-msud`).
+pub const DEFAULT_NET_TICK: Duration = Duration::from_millis(1);
+
 /// Configuration for one MSU.
 #[derive(Clone, Debug)]
 pub struct MsuConfig {
@@ -37,8 +41,11 @@ pub struct MsuConfig {
     pub disks: Vec<DiskSpec>,
     /// IP to bind the MSU's sockets on.
     pub bind_ip: IpAddr,
-    /// Network-process wakeup granularity. The paper's FreeBSD timers
-    /// tick every 10 ms; smaller values trade CPU for jitter.
+    /// Network-process timer granularity: the minimum gap between two
+    /// timer wakeups of the pacing thread, which otherwise sleeps until
+    /// the earliest packet deadline. Packet lateness is bounded by it
+    /// plus send time; smaller values trade CPU for jitter. The paper's
+    /// FreeBSD timers ticked every 10 ms.
     pub net_tick: Duration,
     /// Previous identity when re-registering after a crash (paper §2.2
     /// fault tolerance).
@@ -47,14 +54,14 @@ pub struct MsuConfig {
 
 impl MsuConfig {
     /// A small configuration suitable for tests and examples: two
-    /// 16 MB disks, loopback networking, the paper's 10 ms timer.
+    /// 16 MB disks, loopback networking, the default timer granularity.
     pub fn small(coordinator: SocketAddr, data_dir: PathBuf) -> MsuConfig {
         MsuConfig {
             coordinator,
             data_dir,
             disks: vec![DiskSpec::healthy(64), DiskSpec::healthy(64)],
             bind_ip: IpAddr::V4(Ipv4Addr::LOCALHOST),
-            net_tick: Duration::from_millis(10),
+            net_tick: DEFAULT_NET_TICK,
             previous_id: None,
         }
     }
@@ -67,7 +74,7 @@ mod tests {
     #[test]
     fn small_config_matches_paper_timer() {
         let cfg = MsuConfig::small("127.0.0.1:9000".parse().unwrap(), "/tmp/x".into());
-        assert_eq!(cfg.net_tick, Duration::from_millis(10));
+        assert_eq!(cfg.net_tick, DEFAULT_NET_TICK);
         assert_eq!(cfg.disks.len(), 2);
         assert!(cfg.previous_id.is_none());
     }

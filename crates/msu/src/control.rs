@@ -320,16 +320,26 @@ impl ServerShared {
             cmd_tag,
         );
         let now = std::time::Instant::now();
+        // The network thread paces from its own copy of each control
+        // block and sleeps until its next deadline: every change below
+        // is followed by a wake for the stream it touched.
+        let wake = |m: &StreamInfo| {
+            let _ = self.net_tx.send(NetCmd::Wake {
+                stream: m.shared.id,
+            });
+        };
         match cmd {
             VcrCommand::Pause => {
                 for m in &members {
                     m.shared.ctl.lock().pacer.pause(now);
+                    wake(m);
                 }
                 Ok(())
             }
             VcrCommand::Play => {
                 for m in &members {
                     m.shared.ctl.lock().pacer.resume(now);
+                    wake(m);
                 }
                 Ok(())
             }
@@ -341,6 +351,7 @@ impl ServerShared {
                         reply,
                     })?;
                     res?;
+                    wake(m);
                 }
                 Ok(())
             }
@@ -357,6 +368,7 @@ impl ServerShared {
                         reply,
                     })?;
                     res?;
+                    wake(m);
                 }
                 Ok(())
             }
@@ -490,6 +502,89 @@ mod tests {
             stop: Arc::new(AtomicBool::new(false)),
         };
         assert!(shared.apply_vcr(GroupId(9), VcrCommand::Pause).is_err());
+    }
+
+    #[test]
+    fn every_vcr_change_wakes_the_network_thread() {
+        use crate::stream::{ActiveFile, StreamCtl, StreamPhase};
+        use calliope_storage::catalog::FileKind;
+        // The network thread sleeps until its next deadline, so each
+        // control-block change must reach it as a wake.
+        let (net_tx, net_rx) = unbounded();
+        let (disk_tx, disk_rx) = unbounded::<DiskCmd>();
+        let disk = std::thread::spawn(move || {
+            for cmd in disk_rx {
+                match cmd {
+                    DiskCmd::Seek { reply, .. } | DiskCmd::Trick { reply, .. } => {
+                        reply.send(Ok(())).unwrap();
+                    }
+                    DiskCmd::Shutdown => return,
+                    other => panic!("{other:?}"),
+                }
+            }
+        });
+        let shared = ServerShared {
+            registry: Mutex::new(HashMap::new()),
+            groups: Mutex::new(HashMap::new()),
+            disk_txs: vec![disk_tx.clone()],
+            net_tx,
+            coord_conn: Mutex::new(None),
+            metrics: MsuMetrics::new(),
+            flight: Arc::new(FlightRecorder::new(64)),
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        let stream = Arc::new(StreamShared {
+            id: StreamId(5),
+            group: GroupId(5),
+            disk: 0,
+            trace: Default::default(),
+            ctl: Mutex::new(StreamCtl {
+                phase: StreamPhase::Running,
+                gen: 0,
+                mode: TrickMode::Normal,
+                file: ActiveFile {
+                    name: "f".into(),
+                    kind: FileKind::Raw,
+                    pages: 1,
+                    len_bytes: 1,
+                    root: vec![],
+                    duration_us: 0,
+                },
+                next_page: 0,
+                pending_skip: 0,
+                eof: false,
+                skip_until_us: 0,
+                start_seq: 0,
+                pacer: crate::pacer::Pacer::new(),
+            }),
+            stats: Default::default(),
+        });
+        shared.registry.lock().insert(
+            StreamId(5),
+            Arc::new(StreamInfo {
+                group: GroupShared::new(GroupId(5), 1),
+                shared: stream,
+                disk: 0,
+                is_record: false,
+                record_stop: None,
+                quit_reason: Mutex::new(None),
+                done_sent: AtomicBool::new(false),
+            }),
+        );
+        for cmd in [
+            VcrCommand::Pause,
+            VcrCommand::Play,
+            VcrCommand::Seek(calliope_types::MediaTime::from_secs(1)),
+            VcrCommand::FastForward,
+        ] {
+            shared.apply_vcr(GroupId(5), cmd).unwrap();
+            match net_rx.try_recv() {
+                Ok(NetCmd::Wake { stream }) => assert_eq!(stream, StreamId(5), "{cmd}"),
+                other => panic!("{cmd}: {other:?}"),
+            }
+        }
+        disk_tx.send(DiskCmd::Shutdown).unwrap();
+        disk.join().unwrap();
     }
 
     #[test]

@@ -7,12 +7,18 @@
 //! the disk process writes full ones to disk." (paper §2.3)
 //!
 //! The thread services its read streams in round-robin duty-cycle order
-//! (§2.2.1), reading one 256 KB page per eligible stream per pass, and
-//! drains recording rings into the file system. It also owns the MSU
-//! file system for its disk, so metadata operations (stat, create,
-//! seek, trick-switch) arrive as commands with reply channels.
+//! (§2.2.1), reading a batch of 256 KB pages per eligible stream per
+//! pass, and drains recording rings into the file system. It also owns
+//! the MSU file system for its disk, so metadata operations (stat,
+//! create, seek, trick-switch) arrive as commands with reply channels.
+//!
+//! The thread never polls: it sleeps on its command channel, and the
+//! readers of its rings ring a doorbell ([`DiskCmd::Doorbell`]) when a
+//! play ring has room for a read-ahead batch ([`PageRing`]) or a
+//! recording ring has filled past [`RECORD_BATCH`] records or closed.
 
 use crate::metrics::{MsuMetrics, DISK_CYCLE_BUDGET_US};
+use crate::net::NetCmd;
 use crate::pool::{PageData, PagePool};
 use crate::spsc::{Consumer, PopError, Producer};
 use crate::stream::{raw_seek, ActiveFile, PageBuf, StreamCtl, StreamPhase, StreamShared};
@@ -30,7 +36,7 @@ use calliope_types::StreamId;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Events the disk thread reports to the control plane.
 #[derive(Debug)]
@@ -178,6 +184,10 @@ pub enum DiskCmd {
         /// Which stream.
         stream: StreamId,
     },
+    /// Wakes the thread for a duty cycle: a play ring has room for a
+    /// read-ahead batch, or a recording ring filled past
+    /// [`RECORD_BATCH`] or closed. See [`PageRing`].
+    Doorbell,
     /// Stops the thread.
     Shutdown,
 }
@@ -197,6 +207,7 @@ impl std::fmt::Debug for DiskCmd {
             DiskCmd::Seek { .. } => "Seek",
             DiskCmd::Trick { .. } => "Trick",
             DiskCmd::Remove { .. } => "Remove",
+            DiskCmd::Doorbell => "Doorbell",
             DiskCmd::Shutdown => "Shutdown",
         };
         write!(f, "DiskCmd::{name}")
@@ -219,6 +230,67 @@ struct ReadIo {
 /// pages ride each duty cycle while two are still being drained —
 /// double buffering (§2.2.1) with one cycle of slack.
 pub const MAX_READ_AHEAD: usize = 2;
+
+/// Records a recording ring collects before its receiver rings the disk
+/// thread's doorbell (the ring holds 256): writes go to disk in batches
+/// rather than one wakeup per packet.
+pub const RECORD_BATCH: usize = 32;
+
+/// Free slots a play ring needs before the duty cycle reads for it: a
+/// whole read-ahead batch (or the whole ring, if it is smaller), so
+/// every claim is a multi-page run the elevator can coalesce.
+fn read_batch(capacity: usize) -> usize {
+    MAX_READ_AHEAD.min(capacity)
+}
+
+/// The consuming end of a play ring, paired with the doorbell of the
+/// disk thread that fills it.
+///
+/// The disk thread sleeps until a command arrives, so whoever drains a
+/// ring must say when it has room: [`pop`](Self::pop) rings the
+/// doorbell whenever the ring is left with a full read-ahead batch of
+/// free slots. Ringing at that threshold, not on every pop, keeps each
+/// duty cycle's claims multi-page.
+pub struct PageRing {
+    consumer: Consumer<PageBuf>,
+    doorbell: Sender<DiskCmd>,
+}
+
+impl std::fmt::Debug for PageRing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PageRing")
+            .field("consumer", &self.consumer)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PageRing {
+    /// Pairs a ring's consumer with its disk thread's command channel.
+    pub fn new(consumer: Consumer<PageBuf>, doorbell: Sender<DiskCmd>) -> PageRing {
+        PageRing { consumer, doorbell }
+    }
+
+    /// Pops the next page, ringing the doorbell if the ring now has room
+    /// for a read-ahead batch.
+    pub fn pop(&mut self) -> std::result::Result<PageBuf, PopError> {
+        let page = self.consumer.pop()?;
+        if self.consumer.slack() >= read_batch(self.consumer.capacity()) {
+            // A gone disk thread means the stream is being torn down.
+            let _ = self.doorbell.send(DiskCmd::Doorbell);
+        }
+        Ok(page)
+    }
+
+    /// True if no page is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.consumer.is_empty()
+    }
+
+    /// Deepest occupancy the ring has ever reached.
+    pub fn high_water(&self) -> usize {
+        self.consumer.high_water()
+    }
+}
 
 /// One page "ticket" claimed from a stream's control block during the
 /// gather phase; the I/O happens later, elevator-ordered and coalesced.
@@ -253,68 +325,105 @@ struct WriteIo {
 
 /// The disk thread main loop. Runs until `Shutdown` or channel
 /// disconnection.
+///
+/// The thread sleeps on its command channel. Every command — most often
+/// a [`DiskCmd::Doorbell`] from a ring's reader or a recording's
+/// receiver — is followed by duty cycles until one makes no progress.
+/// Delivered pages and group releases wake the network thread through
+/// `net`.
 pub fn run(
-    mut fs: MsuFs,
+    fs: MsuFs,
     rx: Receiver<DiskCmd>,
     events: Sender<DiskEvent>,
+    net: Sender<NetCmd>,
     metrics: Arc<MsuMetrics>,
 ) {
-    let geo = geometry_for(&fs);
-    let pool = PagePool::new(fs.block_size());
-    let mut elevator = ElevatorState::new();
-    let mut reads: HashMap<StreamId, ReadIo> = HashMap::new();
-    let mut writes: HashMap<StreamId, WriteIo> = HashMap::new();
-    let mut order: Vec<StreamId> = Vec::new();
-    let mut rr: usize = 0;
-
-    loop {
-        // Drain the command queue.
+    let mut disk = DiskThread {
+        geo: geometry_for(&fs),
+        pool: PagePool::new(fs.block_size()),
+        fs,
+        elevator: ElevatorState::new(),
+        reads: HashMap::new(),
+        writes: HashMap::new(),
+        order: Vec::new(),
+        rr: 0,
+        events,
+        net,
+        metrics,
+    };
+    while let Ok(cmd) = rx.recv() {
+        if !disk.handle_cmd(cmd) {
+            return;
+        }
         loop {
             match rx.try_recv() {
-                Ok(DiskCmd::Shutdown) => return,
-                Ok(cmd) => handle_cmd(
-                    &mut fs,
-                    geo,
-                    &pool,
-                    cmd,
-                    &mut reads,
-                    &mut writes,
-                    &mut order,
-                ),
-                Err(crossbeam::channel::TryRecvError::Empty) => break,
+                Ok(cmd) => {
+                    if !disk.handle_cmd(cmd) {
+                        return;
+                    }
+                }
+                // Queue drained: cycle until a pass moves no data.
+                Err(crossbeam::channel::TryRecvError::Empty) => {
+                    if !disk.duty_cycle() {
+                        break;
+                    }
+                }
                 Err(crossbeam::channel::TryRecvError::Disconnected) => return,
             }
         }
+    }
+}
 
+/// Everything one disk thread owns.
+struct DiskThread {
+    fs: MsuFs,
+    geo: Geometry,
+    pool: PagePool,
+    elevator: ElevatorState,
+    reads: HashMap<StreamId, ReadIo>,
+    writes: HashMap<StreamId, WriteIo>,
+    order: Vec<StreamId>,
+    rr: usize,
+    events: Sender<DiskEvent>,
+    net: Sender<NetCmd>,
+    metrics: Arc<MsuMetrics>,
+}
+
+impl DiskThread {
+    /// One pass over every read and write stream; returns whether it
+    /// moved any data.
+    fn duty_cycle(&mut self) -> bool {
         let mut progressed = false;
         let cycle_start = Instant::now();
+        let metrics = &self.metrics;
+        let fs = &mut self.fs;
 
-        // Duty cycle, gather phase: claim every eligible stream's next
-        // pages (up to the ring's slack, capped at MAX_READ_AHEAD) so the
-        // whole cycle's I/O can be elevator-ordered and coalesced. The
-        // claims advance `next_page` under the lock; the reads happen
-        // outside it — a concurrent seek bumps `gen` and the network
-        // thread discards the stale pages.
+        // Duty cycle, gather phase: claim the next pages of every stream
+        // whose ring has room for a read-ahead batch, so the whole
+        // cycle's I/O can be elevator-ordered and coalesced. The claims
+        // advance `next_page` under the lock; the reads happen outside
+        // it — a concurrent seek bumps `gen` and the network thread
+        // discards the stale pages.
         let mut claims: Vec<Claim> = Vec::new();
         let mut failed: Vec<(StreamId, String)> = Vec::new();
-        if !order.is_empty() {
-            for probe in 0..order.len() {
-                let id = order[(rr + probe) % order.len()];
-                let Some(io) = reads.get_mut(&id) else {
+        if !self.order.is_empty() {
+            for probe in 0..self.order.len() {
+                let id = self.order[(self.rr + probe) % self.order.len()];
+                let Some(io) = self.reads.get_mut(&id) else {
                     continue;
                 };
                 if io.producer.is_closed() {
                     continue;
                 }
-                let slack = io.producer.slack().min(MAX_READ_AHEAD);
-                if slack == 0 {
+                let slack = io.producer.slack();
+                if slack < read_batch(io.producer.capacity()) {
                     continue;
                 }
                 let mut ctl = io.shared.ctl.lock();
                 if ctl.phase == StreamPhase::Done {
                     continue;
                 }
-                for _ in 0..slack {
+                for _ in 0..slack.min(MAX_READ_AHEAD) {
                     if ctl.eof || ctl.next_page >= ctl.file.pages {
                         ctl.eof = true;
                         break;
@@ -350,15 +459,15 @@ pub fn run(
                     }
                 }
             }
-            rr = (rr + 1) % order.len();
+            self.rr = (self.rr + 1) % self.order.len();
         }
 
         // Issue phase: SCAN-order the batch, merge physically adjacent
         // blocks into single transfers, and read into pooled buffers.
         if !claims.is_empty() {
             let addrs: Vec<u64> = claims.iter().map(|c| c.abs).collect();
-            let head_before = elevator.head;
-            let issue = elevator.plan(&addrs);
+            let head_before = self.elevator.head;
+            let issue = self.elevator.plan(&addrs);
             let planned: Vec<u64> = issue.iter().map(|&i| addrs[i]).collect();
             let gather_travel = ElevatorState::travel(head_before, &addrs);
             let scan_travel = ElevatorState::travel(head_before, &planned);
@@ -376,7 +485,7 @@ pub fn run(
                 }
                 let read_start = Instant::now();
                 let mut bufs: Vec<crate::pool::PooledBuf> =
-                    (0..run.len()).map(|_| pool.get()).collect();
+                    (0..run.len()).map(|_| self.pool.get()).collect();
                 let res = {
                     let mut refs: Vec<&mut [u8]> =
                         bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
@@ -403,7 +512,7 @@ pub fn run(
                     }
                 }
             }
-            let exhausted = pool.drain_heap_fallbacks();
+            let exhausted = self.pool.drain_heap_fallbacks();
             if exhausted > 0 {
                 metrics.pool_exhausted.add(exhausted);
             }
@@ -411,11 +520,12 @@ pub fn run(
             // Deliver phase: push per stream in claim order — claims were
             // taken in ascending page order per stream, so rings stay
             // ordered no matter how the elevator reordered the I/O.
+            let mut delivered: Vec<StreamId> = Vec::new();
             for (ci, claim) in claims.iter().enumerate() {
                 let Some(data) = results[ci].take() else {
                     continue;
                 };
-                let Some(io) = reads.get_mut(&claim.id) else {
+                let Some(io) = self.reads.get_mut(&claim.id) else {
                     continue;
                 };
                 let page = PageBuf {
@@ -430,27 +540,38 @@ pub fn run(
                 // via drop.
                 if io.producer.push(page).is_ok() {
                     progressed = true;
+                    if delivered.last() != Some(&claim.id) {
+                        delivered.push(claim.id);
+                    }
                     if !io.primed {
                         io.primed = true;
                         if io.group.prime(claim.id) {
-                            let _ = events.send(DiskEvent::GroupReleased(io.group.id));
+                            let _ = self.net.send(NetCmd::Release { group: io.group.id });
+                            let _ = self.events.send(DiskEvent::GroupReleased(io.group.id));
                         }
                     }
                 }
             }
+            // The network thread sleeps until its next deadline; a stream
+            // it starved for pages has none, so tell it about each one.
+            for stream in delivered {
+                let _ = self.net.send(NetCmd::Wake { stream });
+            }
         }
         for (id, msg) in failed {
-            if let Some(io) = reads.get(&id) {
+            if let Some(io) = self.reads.get(&id) {
                 io.shared.ctl.lock().phase = StreamPhase::Done;
             }
-            let _ = events.send(DiskEvent::StreamFailed { stream: id, msg });
+            let _ = self
+                .events
+                .send(DiskEvent::StreamFailed { stream: id, msg });
         }
 
         // Drain recording rings.
         let mut finished: Vec<StreamId> = Vec::new();
-        for (id, w) in writes.iter_mut() {
+        for (id, w) in self.writes.iter_mut() {
             let write_start = Instant::now();
-            let served = serve_write(&mut fs, w);
+            let served = serve_write(fs, w);
             if !matches!(served, Ok(ServeWrite::Idle)) {
                 metrics
                     .disk_write_us
@@ -460,7 +581,7 @@ pub fn run(
                 Ok(ServeWrite::Progress) => progressed = true,
                 Ok(ServeWrite::Idle) => {}
                 Ok(ServeWrite::Finished { bytes, duration_us }) => {
-                    let _ = events.send(DiskEvent::RecordFinished {
+                    let _ = self.events.send(DiskEvent::RecordFinished {
                         stream: *id,
                         bytes,
                         duration_us,
@@ -469,7 +590,7 @@ pub fn run(
                     progressed = true;
                 }
                 Err(e) => {
-                    let _ = events.send(DiskEvent::StreamFailed {
+                    let _ = self.events.send(DiskEvent::StreamFailed {
                         stream: *id,
                         msg: e.to_string(),
                     });
@@ -478,7 +599,7 @@ pub fn run(
             }
         }
         for id in finished {
-            writes.remove(&id);
+            self.writes.remove(&id);
         }
 
         // Duty-cycle accounting: a pass that outruns the 10 ms timer
@@ -495,25 +616,157 @@ pub fn run(
                 );
             }
         }
+        progressed
+    }
 
-        if !progressed {
-            // Idle: block briefly on the command channel so VCR commands
-            // stay responsive without spinning.
-            match rx.recv_timeout(Duration::from_millis(2)) {
-                Ok(DiskCmd::Shutdown) => return,
-                Ok(cmd) => handle_cmd(
-                    &mut fs,
-                    geo,
-                    &pool,
-                    cmd,
-                    &mut reads,
-                    &mut writes,
-                    &mut order,
-                ),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+    /// Applies one command; returns false on `Shutdown`.
+    fn handle_cmd(&mut self, cmd: DiskCmd) -> bool {
+        let fs = &mut self.fs;
+        match cmd {
+            DiskCmd::Stat { name, reply } => {
+                let _ = reply.send(stat_file(fs, &name));
             }
+            DiskCmd::Create {
+                name,
+                kind,
+                reserve_bytes,
+                reply,
+            } => {
+                let _ = reply.send(fs.create(&name, kind, reserve_bytes));
+            }
+            DiskCmd::Delete { name, reply } => {
+                let _ = reply.send(fs.delete(&name));
+            }
+            DiskCmd::FreeBytes { reply } => {
+                let _ = reply.send(fs.free_bytes());
+            }
+            DiskCmd::ReadPage { name, page, reply } => {
+                let mut buf = vec![0u8; fs.block_size()];
+                let _ = reply.send(fs.read_page(&name, page, &mut buf).map(|()| buf));
+            }
+            DiskCmd::AppendPage {
+                name,
+                data,
+                payload_bytes,
+                reply,
+            } => {
+                let _ = reply.send(fs.append_page(&name, &data, payload_bytes));
+            }
+            DiskCmd::Finalize {
+                name,
+                duration_us,
+                root,
+                reply,
+            } => {
+                let _ = reply.send(fs.finalize(&name, duration_us, root));
+            }
+            DiskCmd::AddRead {
+                shared,
+                group,
+                producer,
+                schedule,
+                trick,
+            } => {
+                let id = shared.id;
+                let normal = shared.ctl.lock().file.clone();
+                // Size the pool here, on the control path, so the duty
+                // cycle never allocates: every stream can have a full ring
+                // of pages outstanding plus the one the network thread
+                // popped and is still transmitting from.
+                let need: u64 = self
+                    .reads
+                    .values()
+                    .map(|io| io.producer.capacity() as u64 + 1)
+                    .sum::<u64>()
+                    + producer.capacity() as u64
+                    + 1;
+                self.pool.ensure_capacity(need);
+                self.reads.insert(
+                    id,
+                    ReadIo {
+                        shared,
+                        group,
+                        producer,
+                        schedule,
+                        trick,
+                        primed: false,
+                        normal,
+                    },
+                );
+                self.order.push(id);
+            }
+            DiskCmd::AddWrite {
+                shared,
+                consumer,
+                stores_schedule,
+                cbr_rate,
+            } => {
+                let id = shared.id;
+                let file = shared.ctl.lock().file.name.clone();
+                drop(shared);
+                let sink = if stores_schedule {
+                    match IbTreeWriter::new(self.geo) {
+                        Ok(writer) => WriteSink::Ib { writer },
+                        Err(e) => {
+                            // Geometry was validated at startup; treat as
+                            // fatal for this stream only.
+                            let _ = e;
+                            return true;
+                        }
+                    }
+                } else {
+                    WriteSink::Raw {
+                        buf: Vec::with_capacity(fs.block_size()),
+                        payload_bytes: 0,
+                        last_offset: MediaTime::ZERO,
+                        cbr_rate,
+                    }
+                };
+                self.writes.insert(
+                    id,
+                    WriteIo {
+                        consumer,
+                        sink,
+                        file,
+                        failed: false,
+                    },
+                );
+            }
+            DiskCmd::Seek {
+                stream,
+                target,
+                reply,
+            } => {
+                let res = match self.reads.get_mut(&stream) {
+                    Some(io) => do_seek(fs, self.geo, io, target),
+                    None => Err(Error::NoSuchStream { stream }),
+                };
+                let _ = reply.send(res);
+            }
+            DiskCmd::Trick {
+                stream,
+                mode,
+                reply,
+            } => {
+                let res = match self.reads.get_mut(&stream) {
+                    Some(io) => do_trick(fs, io, mode),
+                    None => Err(Error::NoSuchStream { stream }),
+                };
+                let _ = reply.send(res);
+            }
+            DiskCmd::Remove { stream } => {
+                self.reads.remove(&stream);
+                self.order.retain(|s| *s != stream);
+                // Recording removal happens via the ring closing; dropping
+                // here only matters if the receiver never started.
+                self.writes.remove(&stream);
+            }
+            // Its only job is to end the wait; the duty cycle that
+            // follows every command does the work.
+            DiskCmd::Doorbell => {}
+            DiskCmd::Shutdown => return false,
         }
+        true
     }
 }
 
@@ -541,157 +794,6 @@ fn stat_file(fs: &MsuFs, name: &str) -> Result<ActiveFile> {
         root: meta.root.clone(),
         duration_us: meta.duration_us,
     })
-}
-
-fn handle_cmd(
-    fs: &mut MsuFs,
-    geo: Geometry,
-    pool: &PagePool,
-    cmd: DiskCmd,
-    reads: &mut HashMap<StreamId, ReadIo>,
-    writes: &mut HashMap<StreamId, WriteIo>,
-    order: &mut Vec<StreamId>,
-) {
-    match cmd {
-        DiskCmd::Stat { name, reply } => {
-            let _ = reply.send(stat_file(fs, &name));
-        }
-        DiskCmd::Create {
-            name,
-            kind,
-            reserve_bytes,
-            reply,
-        } => {
-            let _ = reply.send(fs.create(&name, kind, reserve_bytes));
-        }
-        DiskCmd::Delete { name, reply } => {
-            let _ = reply.send(fs.delete(&name));
-        }
-        DiskCmd::FreeBytes { reply } => {
-            let _ = reply.send(fs.free_bytes());
-        }
-        DiskCmd::ReadPage { name, page, reply } => {
-            let mut buf = vec![0u8; fs.block_size()];
-            let _ = reply.send(fs.read_page(&name, page, &mut buf).map(|()| buf));
-        }
-        DiskCmd::AppendPage {
-            name,
-            data,
-            payload_bytes,
-            reply,
-        } => {
-            let _ = reply.send(fs.append_page(&name, &data, payload_bytes));
-        }
-        DiskCmd::Finalize {
-            name,
-            duration_us,
-            root,
-            reply,
-        } => {
-            let _ = reply.send(fs.finalize(&name, duration_us, root));
-        }
-        DiskCmd::AddRead {
-            shared,
-            group,
-            producer,
-            schedule,
-            trick,
-        } => {
-            let id = shared.id;
-            let normal = shared.ctl.lock().file.clone();
-            // Size the pool here, on the control path, so the duty cycle
-            // never allocates: every stream can have a full ring of pages
-            // outstanding plus the one the network thread popped and is
-            // still transmitting from.
-            let need: u64 = reads
-                .values()
-                .map(|io| io.producer.capacity() as u64 + 1)
-                .sum::<u64>()
-                + producer.capacity() as u64
-                + 1;
-            pool.ensure_capacity(need);
-            reads.insert(
-                id,
-                ReadIo {
-                    shared,
-                    group,
-                    producer,
-                    schedule,
-                    trick,
-                    primed: false,
-                    normal,
-                },
-            );
-            order.push(id);
-        }
-        DiskCmd::AddWrite {
-            shared,
-            consumer,
-            stores_schedule,
-            cbr_rate,
-        } => {
-            let id = shared.id;
-            let file = shared.ctl.lock().file.name.clone();
-            drop(shared);
-            let sink = if stores_schedule {
-                match IbTreeWriter::new(geo) {
-                    Ok(writer) => WriteSink::Ib { writer },
-                    Err(e) => {
-                        // Geometry was validated at startup; treat as fatal
-                        // for this stream only.
-                        let _ = e;
-                        return;
-                    }
-                }
-            } else {
-                WriteSink::Raw {
-                    buf: Vec::with_capacity(fs.block_size()),
-                    payload_bytes: 0,
-                    last_offset: MediaTime::ZERO,
-                    cbr_rate,
-                }
-            };
-            writes.insert(
-                id,
-                WriteIo {
-                    consumer,
-                    sink,
-                    file,
-                    failed: false,
-                },
-            );
-        }
-        DiskCmd::Seek {
-            stream,
-            target,
-            reply,
-        } => {
-            let res = match reads.get_mut(&stream) {
-                Some(io) => do_seek(fs, geo, io, target),
-                None => Err(Error::NoSuchStream { stream }),
-            };
-            let _ = reply.send(res);
-        }
-        DiskCmd::Trick {
-            stream,
-            mode,
-            reply,
-        } => {
-            let res = match reads.get_mut(&stream) {
-                Some(io) => do_trick(fs, io, mode),
-                None => Err(Error::NoSuchStream { stream }),
-            };
-            let _ = reply.send(res);
-        }
-        DiskCmd::Remove { stream } => {
-            reads.remove(&stream);
-            order.retain(|s| *s != stream);
-            // Recording removal happens via the ring closing; dropping
-            // here only matters if the receiver never started.
-            writes.remove(&stream);
-        }
-        DiskCmd::Shutdown => unreachable!("handled by the caller"),
-    }
 }
 
 enum ServeWrite {
@@ -883,6 +985,7 @@ mod tests {
     use calliope_types::GroupId;
     use crossbeam::channel::unbounded;
     use parking_lot::Mutex;
+    use std::time::Duration;
 
     const BS: usize = 4096;
 
@@ -898,8 +1001,26 @@ mod tests {
         let fs = test_fs();
         let (tx, rx) = unbounded();
         let (etx, erx) = unbounded();
-        let h = std::thread::spawn(move || run(fs, rx, etx, MsuMetrics::new()));
+        let (net_tx, _) = unbounded();
+        let h = std::thread::spawn(move || run(fs, rx, etx, net_tx, MsuMetrics::new()));
         (tx, erx, h)
+    }
+
+    /// Pushes one record the way a recording receiver does: ringing the
+    /// doorbell while the ring is full, since the disk thread only
+    /// drains it when told to.
+    fn push_record(p: &mut Producer<PacketRecord>, mut rec: PacketRecord, tx: &Sender<DiskCmd>) {
+        loop {
+            match p.push(rec) {
+                Ok(()) => return,
+                Err(PushError::Full(back)) => {
+                    rec = back;
+                    tx.send(DiskCmd::Doorbell).unwrap();
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                Err(PushError::Closed(_)) => panic!("ring closed"),
+            }
+        }
     }
 
     fn rpc<T: Send + 'static>(tx: &Sender<DiskCmd>, make: impl FnOnce(Sender<T>) -> DiskCmd) -> T {
@@ -961,19 +1082,10 @@ mod tests {
         .unwrap();
         for (i, chunk) in bytes.chunks(1000).enumerate() {
             let rec = PacketRecord::media(MediaTime(i as u64 * 10_000), chunk.to_vec());
-            let mut rec = rec;
-            loop {
-                match p.push(rec) {
-                    Ok(()) => break,
-                    Err(PushError::Full(r)) => {
-                        rec = r;
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    Err(PushError::Closed(_)) => panic!("ring closed"),
-                }
-            }
+            push_record(&mut p, rec, tx);
         }
         drop(p);
+        tx.send(DiskCmd::Doorbell).unwrap();
     }
 
     #[test]
@@ -1000,7 +1112,8 @@ mod tests {
         // Play it back through a page ring.
         let shared = make_stream(1, file.clone());
         let group = GroupShared::new(GroupId(1), 1);
-        let (p, mut c) = spsc::ring(2);
+        let (p, c) = spsc::ring(2);
+        let mut c = PageRing::new(c, tx.clone());
         tx.send(DiskCmd::AddRead {
             shared: Arc::clone(&shared),
             group: Arc::clone(&group),
@@ -1064,7 +1177,8 @@ mod tests {
 
         let shared = make_stream(2, file);
         let group = GroupShared::new(GroupId(2), 1);
-        let (p, mut c) = spsc::ring(2);
+        let (p, c) = spsc::ring(2);
+        let mut c = PageRing::new(c, tx.clone());
         let schedule = CbrSchedule::new(BitRate::from_kbps(800), 100);
         tx.send(DiskCmd::AddRead {
             shared: Arc::clone(&shared),
@@ -1220,19 +1334,10 @@ mod tests {
             .map(|i| PacketRecord::media(MediaTime(i * 20_000), vec![(i % 250) as u8; 120]))
             .collect();
         for rec in &records {
-            let mut r = rec.clone();
-            loop {
-                match p.push(r) {
-                    Ok(()) => break,
-                    Err(PushError::Full(back)) => {
-                        r = back;
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    Err(PushError::Closed(_)) => panic!("closed"),
-                }
-            }
+            push_record(&mut p, rec.clone(), &tx);
         }
         drop(p);
+        tx.send(DiskCmd::Doorbell).unwrap();
         match erx.recv_timeout(Duration::from_secs(5)).unwrap() {
             DiskEvent::RecordFinished {
                 bytes, duration_us, ..
@@ -1261,9 +1366,10 @@ mod tests {
         let (tx, rx) = unbounded();
         let (etx, erx) = unbounded();
         let metrics = MsuMetrics::new();
+        let (net_tx, _) = unbounded();
         let h = std::thread::spawn({
             let m = Arc::clone(&metrics);
-            move || run(fs, rx, etx, m)
+            move || run(fs, rx, etx, net_tx, m)
         });
 
         let content: Vec<u8> = (0..BS * 8).map(|i| (i % 241) as u8).collect();
@@ -1283,7 +1389,10 @@ mod tests {
         for sid in 0..STREAMS {
             let shared = make_stream(sid + 10, file.clone());
             let group = GroupShared::new(GroupId(sid + 10), 1);
-            let (p, mut c) = spsc::ring(4);
+            let (p, c) = spsc::ring(4);
+            // The drains pop through the same doorbell-ringing API as
+            // the network thread: the disk thread reads only when told.
+            let mut c = PageRing::new(c, tx.clone());
             tx.send(DiskCmd::AddRead {
                 shared,
                 group,
@@ -1337,6 +1446,84 @@ mod tests {
             STREAMS * file.pages,
             "every page went through the batched path exactly once"
         );
+        tx.send(DiskCmd::Shutdown).unwrap();
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn page_ring_rings_only_with_room_for_a_read_ahead_batch() {
+        let (tx, rx) = unbounded();
+        let (mut p, c) = spsc::ring(4);
+        let mut ring = PageRing::new(c, tx);
+        for i in 0..4 {
+            p.push(PageBuf {
+                gen: 0,
+                index: i,
+                skip: 0,
+                valid: 1,
+                data: vec![0; 1].into(),
+            })
+            .unwrap();
+        }
+        ring.pop().unwrap();
+        assert!(rx.try_recv().is_err(), "one free slot is not a batch");
+        ring.pop().unwrap();
+        assert!(matches!(rx.try_recv(), Ok(DiskCmd::Doorbell)));
+        assert!(rx.try_recv().is_err());
+    }
+
+    #[test]
+    fn duty_cycle_reads_only_full_batches() {
+        // A ring left with one free slot is not read for: the claim
+        // waits until a whole MAX_READ_AHEAD batch fits, so the elevator
+        // always gets multi-page runs.
+        let fs = test_fs();
+        let (tx, rx) = unbounded();
+        let (etx, erx) = unbounded();
+        let (net_tx, net_rx) = unbounded();
+        let metrics = MsuMetrics::new();
+        let h = std::thread::spawn({
+            let m = Arc::clone(&metrics);
+            move || run(fs, rx, etx, net_tx, m)
+        });
+        write_raw_content(&tx, "m", &vec![3u8; BS * 8]);
+        erx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let file: Result<ActiveFile> = rpc(&tx, |reply| DiskCmd::Stat {
+            name: "m".into(),
+            reply,
+        });
+        let (p, c) = spsc::ring(4);
+        let mut c = PageRing::new(c, tx.clone());
+        tx.send(DiskCmd::AddRead {
+            shared: make_stream(6, file.unwrap()),
+            group: GroupShared::new(GroupId(6), 1),
+            producer: p,
+            schedule: Some(CbrSchedule::new(BitRate::from_kbps(800), 1000)),
+            trick: TrickNames::default(),
+        })
+        .unwrap();
+        // The first pages release the group and wake the network thread.
+        match net_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+            NetCmd::Release { group } => assert_eq!(group, GroupId(6)),
+            other => panic!("{other:?}"),
+        }
+        let wait_full = |c: &PageRing| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while c.consumer.len() < 4 {
+                assert!(Instant::now() < deadline, "ring never filled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        wait_full(&c);
+        c.pop().unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(c.consumer.len(), 3, "one free slot is not read for");
+        c.pop().unwrap();
+        wait_full(&c);
+
+        // 4 pages to fill, 2 to refill: three two-page batches.
+        assert_eq!(metrics.disk_batched_pages_total.get(), 6);
+        assert_eq!(metrics.disk_batch_pages.count(), 3);
         tx.send(DiskCmd::Shutdown).unwrap();
         h.join().unwrap();
     }

@@ -125,6 +125,7 @@ impl MsuServer {
         let wedged = Arc::new(AtomicBool::new(false));
         let blackhole = Arc::new(AtomicBool::new(false));
         let (events_tx, events_rx) = unbounded::<ServerEvent>();
+        let (net_tx, net_rx) = unbounded::<NetCmd>();
         let mut disk_txs = Vec::new();
         let mut handles = Vec::new();
         for fs in filesystems {
@@ -139,10 +140,10 @@ impl MsuServer {
                 }
             }));
             let dm = Arc::clone(&metrics);
-            handles.push(std::thread::spawn(move || disk::run(fs, rx, dtx, dm)));
+            let net = net_tx.clone();
+            handles.push(std::thread::spawn(move || disk::run(fs, rx, dtx, net, dm)));
             disk_txs.push(tx);
         }
-        let (net_tx, net_rx) = unbounded::<NetCmd>();
         let send_socket = UdpSocket::bind((cfg.bind_ip, 0))?;
         {
             let (ntx, nrx) = unbounded::<NetEvent>();
@@ -853,6 +854,7 @@ fn schedule_read(
     // Four slots: two in flight for double buffering plus slack for the
     // disk thread's elevator read-ahead (MAX_READ_AHEAD pages per cycle).
     let (producer, consumer) = spsc::ring(4);
+    let doorbell = shared.disk_txs[local].clone();
     shared.disk_txs[local]
         .send(DiskCmd::AddRead {
             shared: Arc::clone(&stream_shared),
@@ -870,7 +872,7 @@ fn schedule_read(
         .send(NetCmd::AddPlay {
             shared: Arc::clone(&stream_shared),
             group: Arc::clone(&ginfo.shared),
-            consumer,
+            ring: disk::PageRing::new(consumer, doorbell),
             dest: client_data,
             pacing,
             geometry: Geometry::paper(),
@@ -985,6 +987,7 @@ fn schedule_write(
         Arc::clone(&stream_shared),
         module,
         producer,
+        shared.disk_txs[local].clone(),
         Arc::clone(&stop),
         Arc::clone(&shared.metrics),
     );
@@ -1011,8 +1014,11 @@ fn schedule_write(
         .record(trace.id, FlightCode::Schedule, stream.raw(), local as u64);
     tracing::info!("record: {stream} ({group}) to disk {local}, sink {sink_addr} [{trace}]");
 
-    // A recording is "primed" as soon as its sink exists.
+    // A recording is "primed" as soon as its sink exists. Releasing the
+    // group here starts its play members, so the network thread hears
+    // of it too.
     if ginfo.shared.prime(stream) {
+        let _ = shared.net_tx.send(NetCmd::Release { group });
         let _ = events_tx.send(ServerEvent::Disk(DiskEvent::GroupReleased(group)));
     }
     Ok(sink_addr)

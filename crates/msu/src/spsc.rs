@@ -274,6 +274,17 @@ impl<T: Send> Consumer<T> {
         self.ring.closed.load(Ordering::Acquire)
     }
 
+    /// The ring's fixed capacity.
+    pub fn capacity(&self) -> usize {
+        self.ring.slots.len()
+    }
+
+    /// Free slots right now (capacity minus occupancy). Concurrent
+    /// pushes only lower it, so a reading is an upper bound.
+    pub fn slack(&self) -> usize {
+        self.capacity() - self.len()
+    }
+
     /// Deepest occupancy the ring has ever reached.
     pub fn high_water(&self) -> usize {
         // relaxed: the producer orders watermark updates before the

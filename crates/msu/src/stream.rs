@@ -109,8 +109,9 @@ pub struct StreamShared {
 }
 
 /// A packet later than this missed its deadline outright: lateness up
-/// to one pacing tick (10 ms, the paper's timer granularity) is
-/// expected jitter; beyond it the MSU fell behind schedule.
+/// to the paper's 10 ms timer granularity is the jitter its design
+/// expects (the default `net_tick` is finer still); beyond it the MSU
+/// fell behind schedule.
 pub const DEADLINE_MISS_US: u64 = 10_000;
 
 /// Lightweight delivery counters (inspected by tests and the status

@@ -363,3 +363,45 @@ fn played_back_mpeg_parses_as_valid_stream() {
     assert_eq!(frames.len(), 30, "1 s at 30 fps");
     cluster.shutdown();
 }
+
+#[test]
+fn concurrent_cbr_playback_never_exhausts_the_page_pool() {
+    // The disk threads size their page pools at admission for a full
+    // ring plus one page held by the network thread, per stream. The
+    // network thread must hold no more than that one page, or the
+    // steady state falls back to the heap on every read.
+    let cluster = Cluster::builder().msus(1).build().unwrap();
+    let mut client = cluster.client("alice", false).unwrap();
+    // 20 s of 1.5 Mbit/s: 15 paper-size (256 KB) pages per stream.
+    content::upload_mpeg(&mut client, "feature", 20, 3).unwrap();
+    const VIEWERS: usize = 6;
+    let ports: Vec<_> = (0..VIEWERS)
+        .map(|i| client.open_port(&format!("tv{i}"), "mpeg1").unwrap())
+        .collect();
+    let mut plays: Vec<_> = ports
+        .iter()
+        .enumerate()
+        .map(|(i, port)| client.play("feature", &format!("tv{i}"), &[port]).unwrap())
+        .collect();
+    // A second of playback: every ring filled and drained a page.
+    for (play, port) in plays.iter().zip(&ports) {
+        let stream = play.streams[0];
+        wait_for(Duration::from_secs(10), || {
+            (port.stats(stream).packets > 40).then_some(())
+        });
+    }
+    let metrics = cluster.msus[0].metrics();
+    assert!(
+        metrics.disk_batched_pages_total.get() >= (VIEWERS * 4) as u64,
+        "every ring filled"
+    );
+    assert_eq!(
+        metrics.pool_exhausted.get(),
+        0,
+        "playback fell back to heap page buffers"
+    );
+    for p in &mut plays {
+        p.quit().unwrap();
+    }
+    cluster.shutdown();
+}
