@@ -263,3 +263,37 @@ fn heartbeat_reaps_a_wedged_msu() {
     );
     cluster.shutdown();
 }
+
+/// The MSU's network port goes dark mid-playback (a dead switch port):
+/// the MSU keeps pacing and accounting to the end and reports a normal
+/// completion over the control connection, while the viewer receives
+/// nothing more — a failure only the client can see.
+#[test]
+fn blackholed_msu_keeps_pacing_while_the_viewer_hears_nothing() {
+    let cluster = Cluster::builder().msus(1).build().unwrap();
+    let mut client = cluster.client("alice", false).unwrap();
+    content::upload_mpeg(&mut client, "clip", 2, 5).unwrap();
+    let port = client.open_port("tv", "mpeg1").unwrap();
+    let mut play = client.play("clip", "tv", &[&port]).unwrap();
+    let stream = play.streams[0];
+    wait_for(Duration::from_secs(10), || {
+        (port.stats(stream).packets > 5).then_some(())
+    });
+
+    narrate!("blackholing the MSU's media packets");
+    cluster.blackhole_msu(0);
+    std::thread::sleep(Duration::from_millis(100)); // in flight
+    let heard = port.stats(stream).packets;
+    let sent = cluster.msus[0].metrics().packets_sent.get();
+
+    assert_eq!(
+        play.wait_end(Duration::from_secs(30)).unwrap(),
+        DoneReason::Completed
+    );
+    assert!(
+        cluster.msus[0].metrics().packets_sent.get() > sent + 10,
+        "pacing continued behind the blackhole"
+    );
+    assert_eq!(port.stats(stream).packets, heard, "nothing got through");
+    cluster.shutdown();
+}
