@@ -119,10 +119,14 @@ fn main() {
     );
     println!("  streams started    : {}", s.streams_started());
     println!("  streams terminated : {}", s.streams_done());
-    println!("  Coordinator CPU    : {:.2}%", s.cpu_utilization() * 100.0);
+    let rates = s.rates();
+    println!(
+        "  Coordinator CPU    : {:.2}%",
+        rates.cpu_utilization * 100.0
+    );
     println!(
         "  intra-server net   : {:.2}% of 10 Mbit/s",
-        s.network_utilization() * 100.0
+        rates.network_utilization * 100.0
     );
     println!("  (paper, on a 66 MHz Pentium: CPU 14%, network 6%)");
 

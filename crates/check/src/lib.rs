@@ -22,9 +22,9 @@
 //! wrappers) of the real types — there is no runtime difference.
 //!
 //! Under `RUSTFLAGS="--cfg calliope_check"` they become instrumented
-//! versions that route every operation through [`model`]'s scheduler. A
-//! test wraps its concurrent scenario in [`model::model`] (or a
-//! configured [`model::Checker`]); the scheduler then re-runs the
+//! versions that route every operation through `model`'s scheduler. A
+//! test wraps its concurrent scenario in `model::model` (or a
+//! configured `model::Checker`); the scheduler then re-runs the
 //! scenario under every reachable thread interleaving (depth-first over
 //! scheduling decisions), additionally exploring *weak-memory* effects:
 //! an `Acquire`/`Relaxed` load may observe any store in the location's

@@ -4,7 +4,7 @@
 //! In a normal build everything here is a plain re-export — code that
 //! imports from `calliope_check::sync` compiles to exactly what it
 //! would with `std`/`parking_lot`. Under `--cfg calliope_check` the
-//! types carry a [`model`](crate::model) registration next to the real
+//! types carry a `model` registration next to the real
 //! primitive: inside a model run every operation routes through the
 //! scheduler; outside one (ordinary tests built with the cfg, or drops
 //! running while a panic unwinds) they fall through to the real

@@ -7,13 +7,15 @@
 //! notification channel. A broken connection marks the MSU unavailable
 //! — the paper's failure detector.
 
+use calliope_obs::Counter;
 use calliope_types::error::{Error, Result};
 use calliope_types::wire::messages::{CoordEnvelope, CoordToMsu, MsuToCoord};
-use calliope_types::wire::write_frame;
+use calliope_types::wire::{read_frame_len, write_frame, Wire};
 use calliope_types::MsuId;
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,38 +26,55 @@ use std::time::Duration;
 /// generous.
 pub const RPC_TIMEOUT: Duration = Duration::from_secs(15);
 
+/// Writes one frame and counts its length into `bytes`. Every frame
+/// the Coordinator sends goes through here.
+pub(crate) fn send_frame<W: Write, T: Wire>(bytes: &Counter, w: &mut W, msg: &T) -> io::Result<()> {
+    bytes.add(write_frame(w, msg)? as u64);
+    Ok(())
+}
+
+/// Reads one frame and counts its length into `bytes`. Every frame the
+/// Coordinator receives goes through here.
+pub(crate) fn recv_frame<R: Read, T: Wire>(bytes: &Counter, r: &mut R) -> io::Result<Option<T>> {
+    Ok(read_frame_len(r)?.map(|(msg, len)| {
+        bytes.add(len as u64);
+        msg
+    }))
+}
+
 /// One live MSU connection.
-pub struct MsuConn {
+struct MsuConn {
     /// Write half (frames are written under the lock).
-    pub writer: Mutex<TcpStream>,
+    writer: Mutex<TcpStream>,
     /// Pending RPCs by correlation id.
     pending: Mutex<HashMap<u64, Sender<MsuToCoord>>>,
 }
 
 /// The registry of live MSU connections.
-#[derive(Default)]
 pub struct MsuConns {
     conns: Mutex<HashMap<MsuId, Arc<MsuConn>>>,
     next_req: AtomicU64,
+    /// Counts every frame written to an MSU.
+    bytes: Arc<Counter>,
 }
 
 impl MsuConns {
-    /// Creates an empty registry.
-    pub fn new() -> MsuConns {
+    /// Creates an empty registry whose writes count into `bytes`.
+    pub fn new(bytes: Arc<Counter>) -> MsuConns {
         MsuConns {
             conns: Mutex::new(HashMap::new()),
             next_req: AtomicU64::new(1),
+            bytes,
         }
     }
 
     /// Installs (or replaces) the connection for an MSU.
-    pub fn install(&self, msu: MsuId, stream: TcpStream) -> Arc<MsuConn> {
+    pub fn install(&self, msu: MsuId, stream: TcpStream) {
         let conn = Arc::new(MsuConn {
             writer: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
         });
-        self.conns.lock().insert(msu, Arc::clone(&conn));
-        conn
+        self.conns.lock().insert(msu, conn);
     }
 
     /// Drops an MSU's connection (it broke) and fast-fails every RPC
@@ -117,7 +136,7 @@ impl MsuConns {
         conn.pending.lock().insert(req_id, tx);
         let write_res = {
             let mut w = conn.writer.lock();
-            write_frame(&mut *w, &CoordEnvelope { req_id, body })
+            send_frame(&self.bytes, &mut *w, &CoordEnvelope { req_id, body })
         };
         if write_res.is_err() {
             conn.pending.lock().remove(&req_id);
@@ -141,7 +160,7 @@ impl MsuConns {
             .cloned()
             .ok_or(Error::MsuUnavailable { msu })?;
         let mut w = conn.writer.lock();
-        write_frame(&mut *w, &CoordEnvelope { req_id: 0, body })
+        send_frame(&self.bytes, &mut *w, &CoordEnvelope { req_id: 0, body })
             .map_err(|_| Error::MsuUnavailable { msu })
     }
 
@@ -181,7 +200,7 @@ mod tests {
 
     #[test]
     fn rpc_round_trip() {
-        let conns = MsuConns::new();
+        let conns = MsuConns::new(Arc::default());
         let (coord_side, mut msu_side) = pair();
         conns.install(MsuId(1), coord_side);
 
@@ -202,7 +221,7 @@ mod tests {
 
     #[test]
     fn rpc_to_unknown_msu_fails_fast() {
-        let conns = MsuConns::new();
+        let conns = MsuConns::new(Arc::default());
         assert!(matches!(
             conns.rpc(MsuId(9), CoordToMsu::Ping),
             Err(Error::MsuUnavailable { .. })
@@ -212,7 +231,7 @@ mod tests {
 
     #[test]
     fn unsolicited_messages_are_surfaced() {
-        let conns = MsuConns::new();
+        let conns = MsuConns::new(Arc::default());
         let (coord_side, _msu_side) = pair();
         conns.install(MsuId(1), coord_side);
         let out = conns.route(
@@ -231,7 +250,7 @@ mod tests {
 
     #[test]
     fn late_replies_are_dropped() {
-        let conns = MsuConns::new();
+        let conns = MsuConns::new(Arc::default());
         let (coord_side, _msu_side) = pair();
         conns.install(MsuId(1), coord_side);
         // No pending id 77: routed reply vanishes.
@@ -245,7 +264,7 @@ mod tests {
     /// `RPC_TIMEOUT` — failover latency is bounded by this.
     #[test]
     fn remove_fails_inflight_rpcs_immediately() {
-        let conns = Arc::new(MsuConns::new());
+        let conns = Arc::new(MsuConns::new(Arc::default()));
         let (coord_side, _msu_side) = pair();
         conns.install(MsuId(1), coord_side);
         let conns2 = Arc::clone(&conns);
@@ -267,7 +286,7 @@ mod tests {
 
     #[test]
     fn ids_lists_connected_msus() {
-        let conns = MsuConns::new();
+        let conns = MsuConns::new(Arc::default());
         assert!(conns.ids().is_empty());
         let (a, _ka) = pair();
         let (b, _kb) = pair();
@@ -280,7 +299,7 @@ mod tests {
 
     #[test]
     fn remove_breaks_future_rpcs() {
-        let conns = MsuConns::new();
+        let conns = MsuConns::new(Arc::default());
         let (coord_side, _msu_side) = pair();
         conns.install(MsuId(1), coord_side);
         assert_eq!(conns.len(), 1);

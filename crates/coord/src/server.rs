@@ -8,7 +8,7 @@
 //! one process.
 
 use crate::db::{AdminDb, Component, ContentRecord, ContentStatus, Location};
-use crate::rpc::MsuConns;
+use crate::rpc::{recv_frame, send_frame, MsuConns};
 use crate::sched::Scheduler;
 use crate::stats::CoordStats;
 use calliope_obs::{FlightCode, FlightRecorder};
@@ -20,7 +20,6 @@ use calliope_types::wire::messages::{
     MsuToCoord, PacingSpec, RecordStart, StreamStart, TrickFiles,
 };
 use calliope_types::wire::stats::{HistBucket, MetricEntry, MetricValue, StatsSnapshot};
-use calliope_types::wire::{read_frame, write_frame, Wire};
 use calliope_types::{DiskId, GroupId, MsuId, SessionId, SpanKind, StreamId, TraceCtx};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -165,7 +164,7 @@ impl CoordServer {
         let inner = Arc::new(Inner {
             db: Mutex::new(AdminDb::with_builtin_types()),
             sched: Scheduler::new(),
-            conns: MsuConns::new(),
+            conns: MsuConns::new(Arc::clone(&stats.intra_net_bytes)),
             stats,
             ids: IdAllocator::new(),
             recordings: Mutex::new(HashMap::new()),
@@ -264,7 +263,7 @@ fn accept_msus(inner: Arc<Inner>, listener: TcpListener) {
 fn msu_connection(inner: Arc<Inner>, mut stream: TcpStream) {
     stream.set_nodelay(true).ok();
     // First frame must be Register.
-    let env: Option<MsuEnvelope> = match read_frame(&mut stream) {
+    let env: Option<MsuEnvelope> = match recv_frame(&inner.stats.intra_net_bytes, &mut stream) {
         Ok(e) => e,
         Err(_) => return,
     };
@@ -301,27 +300,17 @@ fn msu_connection(inner: Arc<Inner>, mut stream: TcpStream) {
         .collect();
     inner.sched.register_msu(msu, ctrl_addr, &reports);
 
-    let conn = match stream.try_clone() {
-        Ok(w) => inner.conns.install(msu, w),
-        Err(_) => return,
+    let Ok(writer) = stream.try_clone() else {
+        return;
     };
-    {
-        let mut w = conn.writer.lock();
-        if write_frame(
-            &mut *w,
-            &calliope_types::wire::messages::CoordEnvelope {
-                req_id: 0,
-                body: CoordToMsu::RegisterAck {
-                    msu,
-                    disk_ids: disk_ids.clone(),
-                },
-            },
-        )
-        .is_err()
-        {
-            fail_msu(&inner, msu);
-            return;
-        }
+    inner.conns.install(msu, writer);
+    let ack = CoordToMsu::RegisterAck {
+        msu,
+        disk_ids: disk_ids.clone(),
+    };
+    if inner.conns.notify(msu, ack).is_err() {
+        fail_msu(&inner, msu);
+        return;
     }
     inner.stats.note_busy(started.elapsed());
     tracing::info!(
@@ -337,7 +326,7 @@ fn msu_connection(inner: Arc<Inner>, mut stream: TcpStream) {
         if inner.stop.load(Ordering::Acquire) {
             return;
         }
-        let env: Option<MsuEnvelope> = match read_frame(&mut stream) {
+        let env: Option<MsuEnvelope> = match recv_frame(&inner.stats.intra_net_bytes, &mut stream) {
             Ok(e) => e,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -354,7 +343,6 @@ fn msu_connection(inner: Arc<Inner>, mut stream: TcpStream) {
             fail_msu(&inner, msu);
             return;
         };
-        inner.stats.note_bytes(env.to_bytes().len() + 4);
         if let Some(unsolicited) = inner.conns.route(msu, env.req_id, env.body) {
             // Handled off this thread: an `IoError` teardown may fail
             // the stream over with an RPC to this very MSU (its other
@@ -705,7 +693,8 @@ fn client_session(inner: Arc<Inner>, mut stream: TcpStream) {
         if inner.stop.load(Ordering::Acquire) {
             return;
         }
-        let req: Option<ClientRequest> = match read_frame(&mut stream) {
+        let req: Option<ClientRequest> = match recv_frame(&inner.stats.intra_net_bytes, &mut stream)
+        {
             Ok(r) => r,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -721,9 +710,8 @@ fn client_session(inner: Arc<Inner>, mut stream: TcpStream) {
             // ports" — ports die with `session`.
             return;
         };
-        inner.stats.note_bytes(req.to_bytes().len() + 4);
         if matches!(req, ClientRequest::Bye) {
-            let _ = write_frame(&mut stream, &CoordReply::Ok);
+            let _ = send_frame(&inner.stats.intra_net_bytes, &mut stream, &CoordReply::Ok);
             return;
         }
         let t = Instant::now();
@@ -731,8 +719,7 @@ fn client_session(inner: Arc<Inner>, mut stream: TcpStream) {
         let reply = dispatch(&inner, &mut session, &mut stream, req, &mut waits);
         // Waiting on MSU RPCs or in the admission queue is not CPU.
         inner.stats.note_request(t.elapsed().saturating_sub(waits));
-        inner.stats.note_bytes(reply.to_bytes().len() + 4);
-        if write_frame(&mut stream, &reply).is_err() {
+        if send_frame(&inner.stats.intra_net_bytes, &mut stream, &reply).is_err() {
             return;
         }
     }
@@ -1310,7 +1297,7 @@ fn admit_with_queue<T>(
                 if !queued_sent {
                     queued_sent = true;
                     tracing::info!("admit: resources exhausted, request queued");
-                    write_frame(stream, &CoordReply::Queued)?;
+                    send_frame(&inner.stats.intra_net_bytes, stream, &CoordReply::Queued)?;
                 }
                 if peer_closed(stream) {
                     return Err(Error::SessionClosed);
@@ -1658,6 +1645,9 @@ fn handle_record(
 mod tests {
     use super::*;
     use crate::fake_msu::FakeMsu;
+    use calliope_types::time::ByteRate;
+    use calliope_types::wire::messages::{CoordEnvelope, DiskReport};
+    use calliope_types::wire::{read_frame, read_frame_len, write_frame};
 
     fn start_coord() -> CoordServer {
         CoordServer::start(CoordConfig::default()).unwrap()
@@ -2012,6 +2002,136 @@ mod tests {
             }),
             CoordReply::Ok
         ));
+    }
+
+    /// Registers an MSU whose end the test drives by hand, so it sees
+    /// the exact length of every frame. Returns the connection, the
+    /// assigned identity and disks, and the bytes exchanged so far.
+    fn register_by_hand(coord: &CoordServer) -> (TcpStream, MsuId, Vec<DiskId>, usize) {
+        let mut conn = TcpStream::connect(coord.msu_addr).unwrap();
+        let register = MsuEnvelope {
+            req_id: 0,
+            body: MsuToCoord::Register {
+                ctrl_addr: conn.local_addr().unwrap(),
+                disks: vec![DiskReport {
+                    capacity_bytes: 2_000_000_000,
+                    free_bytes: 2_000_000_000,
+                    bandwidth: ByteRate::from_bytes_per_sec(2_400_000),
+                }],
+                previous: None,
+            },
+        };
+        let sent = write_frame(&mut conn, &register).unwrap();
+        let (ack, got) = read_frame_len::<_, CoordEnvelope>(&mut conn)
+            .unwrap()
+            .unwrap();
+        let CoordToMsu::RegisterAck { msu, disk_ids } = ack.body else {
+            panic!("expected RegisterAck, got {ack:?}")
+        };
+        (conn, msu, disk_ids, sent + got)
+    }
+
+    /// Waits until `coord.intra_net_bytes` reads exactly `want`.
+    fn assert_net_bytes(coord: &CoordServer, want: usize, what: &str) {
+        let got = || coord.stats().intra_net_bytes.get() as usize;
+        assert!(
+            wait_for(Duration::from_secs(2), || got() == want),
+            "{what}: coord.intra_net_bytes = {}, frames on the wire = {want}",
+            got()
+        );
+    }
+
+    #[test]
+    fn heartbeat_ping_and_pong_count_as_intra_net_bytes() {
+        let coord = CoordServer::start(CoordConfig {
+            heartbeat_interval: Duration::from_millis(400),
+            ..CoordConfig::default()
+        })
+        .unwrap();
+        let (mut msu, _, _, mut seen) = register_by_hand(&coord);
+        assert_net_bytes(&coord, seen, "Register + RegisterAck");
+        let (ping, ping_len) = read_frame_len::<_, CoordEnvelope>(&mut msu)
+            .unwrap()
+            .unwrap();
+        assert_eq!(ping.body, CoordToMsu::Ping);
+        seen += ping_len;
+        assert_net_bytes(&coord, seen, "Ping");
+        let pong = MsuEnvelope {
+            req_id: ping.req_id,
+            body: MsuToCoord::Pong { snapshot: None },
+        };
+        seen += write_frame(&mut msu, &pong).unwrap();
+        assert_net_bytes(&coord, seen, "Ping + Pong");
+        coord.shutdown();
+    }
+
+    #[test]
+    fn admission_rpc_and_client_frames_count_as_intra_net_bytes() {
+        let coord = CoordServer::start(CoordConfig {
+            heartbeat_interval: Duration::ZERO,
+            ..CoordConfig::default()
+        })
+        .unwrap();
+        let (mut msu, id, disks, mut seen) = register_by_hand(&coord);
+        insert_replicated_content(
+            &coord,
+            "movie",
+            vec![Location {
+                msu: id,
+                disk: disks[0],
+                file: "movie".into(),
+            }],
+        );
+        let mut client = TcpStream::connect(coord.client_addr).unwrap();
+        let data: SocketAddr = "127.0.0.1:5000".parse().unwrap();
+        for req in [
+            ClientRequest::Hello {
+                client_name: "alice".into(),
+                admin: false,
+            },
+            ClientRequest::RegisterPort {
+                name: "p".into(),
+                type_name: "mpeg1".into(),
+                data_addr: data,
+                ctrl_addr: data,
+            },
+        ] {
+            seen += write_frame(&mut client, &req).unwrap();
+            let (_, n) = read_frame_len::<_, CoordReply>(&mut client)
+                .unwrap()
+                .unwrap();
+            seen += n;
+        }
+        assert_net_bytes(&coord, seen, "client session setup");
+
+        let play = ClientRequest::Play {
+            content: "movie".into(),
+            port: "p".into(),
+        };
+        seen += write_frame(&mut client, &play).unwrap();
+        // The admission blocks on the ScheduleRead RPC until the MSU
+        // answers: the request and the RPC frame are all counted so far.
+        let (rpc, rpc_len) = read_frame_len::<_, CoordEnvelope>(&mut msu)
+            .unwrap()
+            .unwrap();
+        assert!(
+            matches!(rpc.body, CoordToMsu::ScheduleRead { .. }),
+            "{rpc:?}"
+        );
+        seen += rpc_len;
+        assert_net_bytes(&coord, seen, "Play + ScheduleRead");
+        let ack = MsuEnvelope {
+            req_id: rpc.req_id,
+            body: MsuToCoord::ReadScheduled { error: None },
+        };
+        seen += write_frame(&mut msu, &ack).unwrap();
+        let (reply, n) = read_frame_len::<_, CoordReply>(&mut client)
+            .unwrap()
+            .unwrap();
+        assert!(matches!(reply, CoordReply::PlayStarted { .. }), "{reply:?}");
+        seen += n;
+        assert_net_bytes(&coord, seen, "ReadScheduled + PlayStarted");
+        coord.shutdown();
     }
 
     #[test]

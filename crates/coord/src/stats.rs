@@ -3,7 +3,7 @@
 //! "We measured the Coordinator's CPU utilization at 14% and the
 //! network utilization at 6%." The Coordinator tallies the CPU time it
 //! spends processing requests and the intra-server bytes it moves;
-//! utilization is busy time (or bytes) over wall-clock elapsed.
+//! utilization is busy time (or bytes) over the registry's uptime.
 //!
 //! All counters live in a [`calliope_obs::Registry`], so the same
 //! figures the §3.3 benchmark reads are exported over the wire by
@@ -12,10 +12,8 @@
 
 use calliope_obs::{Counter, Histogram, Registry, LATENCY_US_BUCKETS};
 use calliope_types::wire::stats::StatsSnapshot;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The intra-server network modeled for utilization reporting:
 /// 10 Mbit/s Ethernet, as in the paper.
@@ -36,14 +34,16 @@ pub struct Rates {
 
 /// Accumulates Coordinator load figures.
 pub struct CoordStats {
-    /// The registry every figure is registered in; snapshotted by the
-    /// `Stats` wire request.
+    /// The registry every figure is registered in, and whose uptime
+    /// clock every rate is taken over; snapshotted by the `Stats` wire
+    /// request.
     pub registry: Registry,
-    started: Mutex<Instant>,
     /// Nanosecond resolution: individual requests are far shorter than
     /// a microsecond of CPU, so a µs counter would round them all to 0.
-    busy_ns: AtomicU64,
-    bytes: Arc<Counter>,
+    busy_ns: Arc<Counter>,
+    /// Bytes of every frame the Coordinator sends or receives on a
+    /// client or MSU connection, length prefix included.
+    pub intra_net_bytes: Arc<Counter>,
     requests: Arc<Counter>,
     streams_started: Arc<Counter>,
     streams_done: Arc<Counter>,
@@ -77,57 +77,27 @@ impl CoordStats {
     /// Creates zeroed statistics starting now.
     pub fn new() -> CoordStats {
         let registry = Registry::new();
-        let bytes = registry.counter("coord.intra_net_bytes");
-        let requests = registry.counter("coord.requests");
-        let streams_started = registry.counter("coord.streams_started");
-        let streams_done = registry.counter("coord.streams_done");
-        let admissions = registry.counter("admission.granted");
-        let rejections = registry.counter("admission.rejected");
-        let queue_wait_us = registry.histogram("admission.queue_wait_us", LATENCY_US_BUCKETS);
-        let heartbeat_misses = registry.counter("coord.heartbeat_misses");
-        let failovers = registry.counter("coord.failovers");
-        let grants_reaped = registry.counter("coord.grants_reaped");
-        let snapshots_merged = registry.counter("coord.snapshots_merged");
         CoordStats {
+            busy_ns: registry.counter("coord.busy_ns"),
+            intra_net_bytes: registry.counter("coord.intra_net_bytes"),
+            requests: registry.counter("coord.requests"),
+            streams_started: registry.counter("coord.streams_started"),
+            streams_done: registry.counter("coord.streams_done"),
+            admissions: registry.counter("admission.granted"),
+            rejections: registry.counter("admission.rejected"),
+            queue_wait_us: registry.histogram("admission.queue_wait_us", LATENCY_US_BUCKETS),
+            heartbeat_misses: registry.counter("coord.heartbeat_misses"),
+            failovers: registry.counter("coord.failovers"),
+            grants_reaped: registry.counter("coord.grants_reaped"),
+            snapshots_merged: registry.counter("coord.snapshots_merged"),
             registry,
-            started: Mutex::new(Instant::now()),
-            busy_ns: AtomicU64::new(0),
-            bytes,
-            requests,
-            streams_started,
-            streams_done,
-            admissions,
-            rejections,
-            queue_wait_us,
-            heartbeat_misses,
-            failovers,
-            grants_reaped,
-            snapshots_merged,
         }
     }
 
-    /// Resets every counter and restarts the clock (benchmarks call
-    /// this after warmup).
+    /// Zeroes every figure and restarts the clock rates are taken over
+    /// (benchmarks call this after warmup).
     pub fn reset(&self) {
-        *self.started.lock() = Instant::now();
-        // The registry's snapshot derives rates from its own uptime
-        // clock; restart it too, or post-reset rates are computed over
-        // the pre-reset elapsed time.
-        self.registry.reset_epoch();
-        // relaxed: a utilization accumulator; readers tolerate tearing
-        // between reset and the first accumulation.
-        self.busy_ns.store(0, Ordering::Relaxed);
-        self.bytes.reset();
-        self.requests.reset();
-        self.streams_started.reset();
-        self.streams_done.reset();
-        self.admissions.reset();
-        self.rejections.reset();
-        self.queue_wait_us.reset();
-        self.heartbeat_misses.reset();
-        self.failovers.reset();
-        self.grants_reaped.reset();
-        self.snapshots_merged.reset();
+        self.registry.reset();
     }
 
     /// Records one processed request and the CPU time it took.
@@ -139,14 +109,7 @@ impl CoordStats {
     /// Records CPU time outside the request path (e.g. notification
     /// handling).
     pub fn note_busy(&self, busy: Duration) {
-        // relaxed: a utilization accumulator read only for reporting.
-        self.busy_ns
-            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Records intra-server bytes moved (both directions).
-    pub fn note_bytes(&self, n: usize) {
-        self.bytes.add(n as u64);
+        self.busy_ns.add(busy.as_nanos() as u64);
     }
 
     /// Records a stream admission.
@@ -174,14 +137,10 @@ impl CoordStats {
         self.streams_done.get()
     }
 
-    /// Wall-clock time since the last reset.
-    pub fn elapsed(&self) -> Duration {
-        self.started.lock().elapsed()
-    }
-
-    /// The §3.3 figures over the wall clock since the last reset.
+    /// The §3.3 figures over the registry's uptime: since construction
+    /// or the last [`reset`](Self::reset).
     pub fn rates(&self) -> Rates {
-        self.rates_over(self.elapsed())
+        self.rates_over(Duration::from_micros(self.registry.uptime_us()))
     }
 
     /// The §3.3 figures over an injected elapsed time — the one place
@@ -193,27 +152,10 @@ impl CoordStats {
             return Rates::default();
         }
         Rates {
-            // relaxed: a point-in-time report; staleness is acceptable.
-            cpu_utilization: self.busy_ns.load(Ordering::Relaxed) as f64 / 1e9 / e,
-            network_utilization: self.bytes.get() as f64 / INTRA_SERVER_BYTES_PER_SEC / e,
+            cpu_utilization: self.busy_ns.get() as f64 / 1e9 / e,
+            network_utilization: self.intra_net_bytes.get() as f64 / INTRA_SERVER_BYTES_PER_SEC / e,
             request_rate: self.requests.get() as f64 / e,
         }
-    }
-
-    /// CPU utilization: busy time / elapsed time.
-    pub fn cpu_utilization(&self) -> f64 {
-        self.rates().cpu_utilization
-    }
-
-    /// Network utilization against the modeled 10 Mbit/s intra-server
-    /// Ethernet.
-    pub fn network_utilization(&self) -> f64 {
-        self.rates().network_utilization
-    }
-
-    /// Offered request rate, requests/second.
-    pub fn request_rate(&self) -> f64 {
-        self.rates().request_rate
     }
 
     /// Every registered figure in wire form, tagged with `source`.
@@ -225,13 +167,15 @@ impl CoordStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calliope_obs::histogram_quantile;
+    use calliope_types::wire::stats::MetricValue;
 
     #[test]
     fn utilization_math() {
         let s = CoordStats::new();
         s.note_request(Duration::from_millis(10));
         s.note_request(Duration::from_millis(30));
-        s.note_bytes(125_000);
+        s.intra_net_bytes.add(125_000);
         // Injected elapsed: no sleeping, no tolerance bands.
         let r = s.rates_over(Duration::from_millis(100));
         assert!((r.cpu_utilization - 0.4).abs() < 1e-9, "{r:?}");
@@ -239,6 +183,8 @@ mod tests {
         assert!((r.network_utilization - 1.0).abs() < 1e-9, "{r:?}");
         assert!((r.request_rate - 20.0).abs() < 1e-9, "{r:?}");
         assert_eq!(s.requests(), 2);
+        // Busy time is a registry counter, readable from a live cluster.
+        assert_eq!(s.snapshot("c").counter("coord.busy_ns"), 40_000_000);
         // Zero elapsed never divides by zero.
         assert_eq!(s.rates_over(Duration::ZERO), Rates::default());
         // The wall-clock path reports through the same helper.
@@ -249,20 +195,55 @@ mod tests {
     fn reset_zeroes_everything() {
         let s = CoordStats::new();
         s.note_request(Duration::from_millis(5));
-        s.note_bytes(100);
+        s.intra_net_bytes.add(100);
         s.note_stream_started();
         s.note_stream_done();
         s.admissions.inc();
         s.rejections.inc();
         s.queue_wait_us.record(300);
+        // Registered outside `CoordStats::new`, as the flight
+        // recorder's counter is.
+        s.registry.counter("obs.flight_dropped").inc();
         s.reset();
+        let snap = s.snapshot("c");
+        for m in &snap.metrics {
+            let zero = match &m.value {
+                MetricValue::Counter(v) => *v == 0,
+                MetricValue::Gauge { value, high_water } => *value == 0 && *high_water == 0,
+                MetricValue::Histogram { count, .. } => *count == 0,
+            };
+            assert!(zero, "{} survived the reset: {:?}", m.name, m.value);
+        }
         assert_eq!(s.requests(), 0);
-        assert_eq!(s.streams_started(), 0);
-        assert_eq!(s.streams_done(), 0);
-        assert_eq!(s.admissions.get(), 0);
-        assert_eq!(s.rejections.get(), 0);
-        assert_eq!(s.queue_wait_us.count(), 0);
-        assert!(s.cpu_utilization() < 0.01);
+        assert_eq!(s.rates(), Rates::default());
+    }
+
+    /// Rates after a reset divide since-reset counts by the registry's
+    /// since-reset uptime, not by time since construction.
+    #[test]
+    fn rates_after_reset_use_the_registry_uptime() {
+        // A second clock started with the stats, never reset.
+        let since_built = Registry::new();
+        let s = CoordStats::new();
+        std::thread::sleep(Duration::from_millis(300));
+        s.reset();
+        s.note_request(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(1));
+        let before = s.registry.uptime_us() as f64 / 1e6;
+        let r = s.rates();
+        let after = s.registry.uptime_us() as f64 / 1e6;
+        assert!(
+            after < since_built.uptime_us() as f64 / 1e6 - 0.3,
+            "{after} s"
+        );
+        assert!(
+            0.01 / after <= r.cpu_utilization && r.cpu_utilization <= 0.01 / before,
+            "{r:?} over {before}..{after} s"
+        );
+        assert!(
+            1.0 / after <= r.request_rate && r.request_rate <= 1.0 / before,
+            "{r:?}"
+        );
     }
 
     #[test]
@@ -279,7 +260,8 @@ mod tests {
         assert_eq!(snap.counter("admission.rejected"), 1);
         let wait = snap.get("admission.queue_wait_us").unwrap();
         assert_eq!(wait.as_counter(), None, "histograms are not counters");
-        assert!(wait.quantile(0.99).unwrap() >= 120_000);
+        // The 120 ms sample sits in the (100 ms, 250 ms] bucket.
+        assert!(histogram_quantile(wait, 0.99).unwrap() > 100_000.0);
         assert!(wait.mean().unwrap() > 0.0);
     }
 }

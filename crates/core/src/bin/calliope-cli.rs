@@ -21,7 +21,8 @@
 
 use calliope::content;
 use calliope_client::CalliopeClient;
-use calliope_types::wire::stats::{MetricValue, StatsSnapshot};
+use calliope_obs::histogram_quantile;
+use calliope_types::wire::stats::{MetricEntry, MetricValue, StatsSnapshot};
 use calliope_types::{MediaTime, MsuId, VcrCommand};
 use std::io::BufRead;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
@@ -191,14 +192,21 @@ fn cmd_types(client: &mut CalliopeClient) -> calliope_types::Result<()> {
     Ok(())
 }
 
-/// Formats a µs figure from a histogram bound; the overflow bucket's
-/// `u64::MAX` bound prints as the catch-all it is.
-fn fmt_us(v: u64) -> String {
-    if v == u64::MAX {
-        ">1s".into()
-    } else {
-        format!("{v}µs")
-    }
+/// Formats an interpolated µs quantile.
+fn fmt_us(v: f64) -> String {
+    format!("{v:.0}µs")
+}
+
+/// A histogram's p50/p95/p99, interpolated within buckets by
+/// [`histogram_quantile`]; `-` when it has no samples.
+fn quantiles(value: Option<&MetricValue>) -> String {
+    let q = |p: f64| {
+        value
+            .and_then(|v| histogram_quantile(v, p))
+            .map(fmt_us)
+            .unwrap_or_else(|| "-".into())
+    };
+    format!("p50={} p95={} p99={}", q(0.50), q(0.95), q(0.99))
 }
 
 /// Prints one snapshot's metrics, histograms as interpolated quantiles.
@@ -209,28 +217,23 @@ fn print_snapshot(snap: &StatsSnapshot) {
         snap.uptime_us as f64 / 1e6
     );
     for m in &snap.metrics {
-        match &m.value {
-            MetricValue::Counter(v) => println!("  {:36} {v}", m.name),
-            MetricValue::Gauge { value, high_water } => {
-                println!("  {:36} {value} (high water {high_water})", m.name)
-            }
-            MetricValue::Histogram { count, .. } => {
-                let q = |p: f64| {
-                    m.value
-                        .quantile(p)
-                        .map(fmt_us)
-                        .unwrap_or_else(|| "-".into())
-                };
-                let mean = m.value.mean().unwrap_or(0.0);
-                println!(
-                    "  {:36} n={count} mean={mean:.0}µs p50={} p95={} p99={}",
-                    m.name,
-                    q(0.50),
-                    q(0.95),
-                    q(0.99)
-                );
-            }
+        println!("  {}", metric_row(m));
+    }
+}
+
+/// One metric's `stats` line.
+fn metric_row(m: &MetricEntry) -> String {
+    match &m.value {
+        MetricValue::Counter(v) => format!("{:36} {v}", m.name),
+        MetricValue::Gauge { value, high_water } => {
+            format!("{:36} {value} (high water {high_water})", m.name)
         }
+        MetricValue::Histogram { count, .. } => format!(
+            "{:36} n={count} mean={:.0}µs {}",
+            m.name,
+            m.value.mean().unwrap_or(0.0),
+            quantiles(Some(&m.value))
+        ),
     }
 }
 
@@ -248,19 +251,11 @@ fn cmd_stats(client: &mut CalliopeClient, msu: Option<MsuId>) -> calliope_types:
 /// One `top` summary row: uptime plus the send-lateness quantiles the
 /// operator scans first.
 fn top_row(snap: &StatsSnapshot) -> String {
-    let q = |p: f64| {
-        snap.get("net.send_lateness_us")
-            .and_then(|v| v.quantile(p))
-            .map(fmt_us)
-            .unwrap_or_else(|| "-".into())
-    };
     format!(
-        "{:10} up {:>8.1}s  send lateness p50={} p95={} p99={}",
+        "{:10} up {:>8.1}s  send lateness {}",
         snap.source,
         snap.uptime_us as f64 / 1e6,
-        q(0.50),
-        q(0.95),
-        q(0.99)
+        quantiles(snap.get("net.send_lateness_us"))
     )
 }
 
@@ -379,4 +374,32 @@ fn cmd_play(client: &mut CalliopeClient, name: &str) -> calliope_types::Result<(
         s.pct_within_50ms()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use calliope_obs::{Registry, LATENCY_US_BUCKETS};
+
+    #[test]
+    fn stats_and_top_quantiles_are_histogram_quantile() {
+        let reg = Registry::new();
+        let h = reg.histogram("net.send_lateness_us", LATENCY_US_BUCKETS);
+        for v in [40, 300, 300, 700, 4_000, 4_000, 9_000, 60_000, 2_000_000] {
+            h.record(v);
+        }
+        let snap = reg.snapshot("msu-1");
+        let value = snap.get("net.send_lateness_us").unwrap();
+        let want = |p| fmt_us(histogram_quantile(value, p).unwrap());
+        let expected = format!("p50={} p95={} p99={}", want(0.50), want(0.95), want(0.99));
+        // Interpolated, not bucket bounds: rank 4.5 of 9 falls a quarter
+        // of the way into the (2500, 5000] bucket, whose bound is 5000.
+        assert_eq!(want(0.50), "3125µs");
+        assert!(top_row(&snap).ends_with(&format!("send lateness {expected}")));
+        assert!(metric_row(&snap.metrics[0]).ends_with(&format!("n=9 mean=230927µs {expected}")));
+        // An empty histogram has no quantiles to print.
+        let empty = Registry::new();
+        empty.histogram("net.send_lateness_us", LATENCY_US_BUCKETS);
+        assert!(top_row(&empty.snapshot("msu-2")).ends_with("p50=- p95=- p99=-"));
+    }
 }

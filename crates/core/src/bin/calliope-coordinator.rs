@@ -66,7 +66,7 @@ fn main() {
             server.msu_count(),
             server.active_streams(),
             server.stats().requests(),
-            server.stats().cpu_utilization() * 100.0
+            server.stats().rates().cpu_utilization * 100.0
         );
     }
 }

@@ -50,7 +50,7 @@ impl ClusterBuilder {
 
     /// Network-process timer granularity: the minimum gap between the
     /// pacing thread's timer wakeups (default
-    /// [`DEFAULT_NET_TICK`](calliope_msu::config::DEFAULT_NET_TICK)).
+    /// [`DEFAULT_NET_TICK`]).
     pub fn net_tick(mut self, tick: Duration) -> Self {
         self.net_tick = tick;
         self

@@ -154,7 +154,7 @@ impl ServerShared {
                 let s = &info.shared.stats;
                 let prefix = format!("stream.{}", id.0);
                 // relaxed: stats snapshots tolerate slightly stale
-                // counters; the four loads below need no ordering
+                // counters; the three loads below need no ordering
                 // with respect to each other or the stream state.
                 snap.metrics.push(MetricEntry {
                     name: format!("{prefix}.packets"),
@@ -167,10 +167,6 @@ impl ServerShared {
                 snap.metrics.push(MetricEntry {
                     name: format!("{prefix}.deadline_misses"),
                     value: MetricValue::Counter(s.deadline_misses.load(Ordering::Relaxed)),
-                });
-                snap.metrics.push(MetricEntry {
-                    name: format!("{prefix}.max_late_us"),
-                    value: MetricValue::Counter(s.max_late_us.load(Ordering::Relaxed)),
                 });
             }
         }

@@ -494,11 +494,12 @@ fn transmit(io: &mut PlayIo, pkt: &QueuedPkt, late_us: u64, wire: &mut Wire<'_>)
         let _ = wire.socket.send_to(&wire.scratch, io.dest);
     }
     let len = pkt.payload.len();
-    io.shared.stats.note_packet(len, late_us);
+    let missed = late_us > DEADLINE_MISS_US;
+    io.shared.stats.note_packet(len, missed);
     wire.metrics.packets_sent.inc();
     wire.metrics.bytes_sent.add(len as u64);
     wire.metrics.send_lateness_us.record(late_us);
-    if late_us > DEADLINE_MISS_US {
+    if missed {
         wire.metrics.deadline_misses.inc();
         tracing::trace!(
             "deadline miss: stream {} packet at {} was {late_us} µs late",
@@ -560,7 +561,7 @@ pub fn spawn_record_receiver(
                 Ok(None) => continue,
                 Err(_) => continue,
             };
-            shared.stats.note_packet(record.payload.len(), 0);
+            shared.stats.note_packet(record.payload.len(), false);
             metrics.packets_recorded.inc();
             metrics.bytes_recorded.add(record.payload.len() as u64);
             let mut rec = record;

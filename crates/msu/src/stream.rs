@@ -114,30 +114,30 @@ pub struct StreamShared {
 /// fell behind schedule.
 pub const DEADLINE_MISS_US: u64 = 10_000;
 
-/// Lightweight delivery counters (inspected by tests and the status
-/// API; the client measures true network lateness).
+/// Per-stream delivery counters: what `StreamDone` and the
+/// `stream.{id}.*` stats rows report. MSU-wide totals and the lateness
+/// histogram live in [`MsuMetrics`](crate::metrics::MsuMetrics); the
+/// client measures true network lateness.
 #[derive(Debug, Default)]
 pub struct StreamStats {
     /// Packets sent (or recorded).
     pub packets: AtomicU64,
     /// Payload bytes sent (or recorded).
     pub bytes: AtomicU64,
-    /// Worst send lateness observed, µs.
-    pub max_late_us: AtomicU64,
     /// Packets sent more than [`DEADLINE_MISS_US`] behind schedule.
     pub deadline_misses: AtomicU64,
 }
 
 impl StreamStats {
-    /// Records one sent packet.
-    pub fn note_packet(&self, bytes: usize, late_us: u64) {
+    /// Records one sent packet; `missed` is whether it missed its
+    /// deadline by more than [`DEADLINE_MISS_US`].
+    pub fn note_packet(&self, bytes: usize, missed: bool) {
         // relaxed: independent monotone counters on the send hot
         // path; readers (stats snapshots) tolerate staleness and
         // need no ordering between them.
         self.packets.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.max_late_us.fetch_max(late_us, Ordering::Relaxed);
-        if late_us > DEADLINE_MISS_US {
+        if missed {
             // relaxed: same monotone-counter contract as above.
             self.deadline_misses.fetch_add(1, Ordering::Relaxed);
         }
@@ -249,16 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_maximum_lateness() {
+    fn stats_count_packets_bytes_and_misses() {
         let s = StreamStats::default();
-        s.note_packet(4096, 500);
-        s.note_packet(4096, 12_000);
-        s.note_packet(4096, 3_000);
+        s.note_packet(4096, false);
+        s.note_packet(4096, true);
+        s.note_packet(1000, false);
         // relaxed: single-threaded test readback.
         assert_eq!(s.packets.load(Ordering::Relaxed), 3);
-        assert_eq!(s.bytes.load(Ordering::Relaxed), 3 * 4096);
-        assert_eq!(s.max_late_us.load(Ordering::Relaxed), 12_000);
-        // Only the 12 ms packet exceeded the one-tick allowance.
+        assert_eq!(s.bytes.load(Ordering::Relaxed), 2 * 4096 + 1000);
         assert_eq!(s.deadline_misses.load(Ordering::Relaxed), 1);
     }
 }

@@ -50,10 +50,8 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Zeroes the counter. Not linearizable against concurrent `inc`s;
-    /// meant for benchmark warmup boundaries, not steady-state use.
-    pub fn reset(&self) {
-        // relaxed: see the doc comment — benchmark boundaries only.
+    fn reset(&self) {
+        // relaxed: see `Registry::reset` — benchmark boundaries only.
         self.value.store(0, Ordering::Relaxed);
     }
 }
@@ -95,8 +93,7 @@ impl Gauge {
         self.high_water.load(Ordering::Relaxed)
     }
 
-    /// Zeroes the level and the high-water mark (benchmark warmup).
-    pub fn reset(&self) {
+    fn reset(&self) {
         // relaxed: benchmark warmup boundaries only, like Counter.
         self.value.store(0, Ordering::Relaxed);
         // relaxed: see above.
@@ -148,22 +145,13 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Zeroes every bucket and the sum (benchmark warmup).
-    pub fn reset(&self) {
+    fn reset(&self) {
         for b in &self.buckets {
             // relaxed: benchmark warmup boundaries only.
             b.store(0, Ordering::Relaxed);
         }
         // relaxed: see above.
         self.sum.store(0, Ordering::Relaxed);
-    }
-
-    /// Estimates the `q`-quantile (`0.0..=1.0`) of the recorded samples
-    /// by linear interpolation within the containing bucket. `None`
-    /// when the histogram is empty. See [`histogram_quantile`] for the
-    /// estimation rules.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        histogram_quantile(&self.snapshot_value(), q)
     }
 
     /// Renders the cumulative wire form.
@@ -246,6 +234,14 @@ impl Metric {
             Metric::Histogram(h) => h.snapshot_value(),
         }
     }
+
+    fn reset(&self) {
+        match self {
+            Metric::Counter(c) => c.reset(),
+            Metric::Gauge(g) => g.reset(),
+            Metric::Histogram(h) => h.reset(),
+        }
+    }
 }
 
 /// A named collection of metrics belonging to one component.
@@ -256,8 +252,8 @@ impl Metric {
 /// different kind panics — that is a programming error, not a runtime
 /// condition.
 pub struct Registry {
-    /// Uptime epoch. Behind a mutex so [`Registry::reset_epoch`] can
-    /// restart the clock; touched only at snapshot/reset time.
+    /// Uptime epoch. Behind a mutex so [`Registry::reset`] can restart
+    /// the clock; touched only at snapshot/reset time.
     started: Mutex<Instant>,
     metrics: Mutex<BTreeMap<String, Metric>>,
 }
@@ -277,11 +273,15 @@ impl Registry {
         }
     }
 
-    /// Restarts the uptime clock. Callers that reset their counters
-    /// must also reset the epoch, or rates derived from
-    /// `snapshot().uptime_us` (counter ÷ uptime) silently mix
-    /// since-reset counts with since-construction time.
-    pub fn reset_epoch(&self) {
+    /// Zeroes every registered metric and restarts the uptime clock
+    /// together, so rates derived from a snapshot (counter ÷
+    /// `uptime_us`) never mix since-reset counts with
+    /// since-construction time. Not linearizable against concurrent
+    /// updates; meant for benchmark warmup boundaries.
+    pub fn reset(&self) {
+        for metric in self.metrics.lock().unwrap().values() {
+            metric.reset();
+        }
         *self.started.lock().unwrap() = Instant::now();
     }
 
@@ -322,8 +322,8 @@ impl Registry {
         }
     }
 
-    /// Microseconds since construction or the last
-    /// [`Registry::reset_epoch`], for snapshot stamping.
+    /// Microseconds since construction or the last [`Registry::reset`],
+    /// for snapshot stamping and rates.
     pub fn uptime_us(&self) -> u64 {
         self.started.lock().unwrap().elapsed().as_micros() as u64
     }
@@ -481,12 +481,12 @@ mod tests {
         for _ in 0..10 {
             h.record(150);
         }
-        let p50 = h.quantile(0.50).unwrap();
-        assert!((p50 - 150.0).abs() < 1e-9, "p50 = {p50}");
+        let q = |p| histogram_quantile(&h.snapshot_value(), p).unwrap();
+        assert!((q(0.50) - 150.0).abs() < 1e-9, "p50 = {}", q(0.50));
         // p100 interpolates to the bucket's upper bound.
-        assert!((h.quantile(1.0).unwrap() - 200.0).abs() < 1e-9);
+        assert!((q(1.0) - 200.0).abs() < 1e-9);
         // p0 (well, rank→0+) degenerates to the bucket's lower bound.
-        assert!((h.quantile(0.0).unwrap() - 100.0).abs() < 1e-9);
+        assert!((q(0.0) - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -496,13 +496,51 @@ mod tests {
         h.record(50); // le=100
         h.record(150); // le=200
         h.record(10_000); // overflow
-                          // rank(0.5) = 1.5 → 2nd bucket, halfway between ranks 1 and 2:
-                          // 50% through (100, 200].
-        assert!((h.quantile(0.5).unwrap() - 150.0).abs() < 1e-9);
+        let q = |p| histogram_quantile(&h.snapshot_value(), p);
+        // rank(0.5) = 1.5 → 2nd bucket, halfway between ranks 1 and 2:
+        // 50% through (100, 200].
+        assert!((q(0.5).unwrap() - 150.0).abs() < 1e-9);
         // The overflow bucket clamps to its lower bound.
-        assert!((h.quantile(0.99).unwrap() - 200.0).abs() < 1e-9);
+        assert!((q(0.99).unwrap() - 200.0).abs() < 1e-9);
         // Empty histograms have no quantiles.
-        assert_eq!(reg.histogram("empty", &[10]).quantile(0.5), None);
+        let empty = reg.histogram("empty", &[10]).snapshot_value();
+        assert_eq!(histogram_quantile(&empty, 0.5), None);
+    }
+
+    #[test]
+    fn quantiles_pick_the_right_bucket() {
+        // A wire-form histogram as a peer sends it: 10 samples, 4 <= 100,
+        // 9 <= 1000, 1 overflow.
+        let h = MetricValue::Histogram {
+            buckets: vec![
+                HistBucket { le: 100, count: 4 },
+                HistBucket { le: 1000, count: 9 },
+                HistBucket {
+                    le: u64::MAX,
+                    count: 10,
+                },
+            ],
+            count: 10,
+            sum: 5000,
+        };
+        let q = |p| histogram_quantile(&h, p).unwrap();
+        // rank 5 is the first of the five samples in (100, 1000].
+        assert!((q(0.5) - 280.0).abs() < 1e-9, "p50 = {}", q(0.5));
+        // rank 4 is the last sample of the first bucket.
+        assert!((q(0.4) - 100.0).abs() < 1e-9);
+        // rank 10 is in the overflow bucket: clamped to its lower bound.
+        assert!((q(1.0) - 1000.0).abs() < 1e-9);
+        assert_eq!(h.mean(), Some(500.0));
+        let empty = MetricValue::Histogram {
+            buckets: vec![HistBucket {
+                le: u64::MAX,
+                count: 0,
+            }],
+            count: 0,
+            sum: 0,
+        };
+        assert_eq!(histogram_quantile(&empty, 0.99), None);
+        assert_eq!(empty.mean(), None);
     }
 
     #[test]
@@ -511,13 +549,39 @@ mod tests {
     }
 
     #[test]
-    fn reset_epoch_restarts_the_uptime_clock() {
+    fn reset_zeroes_every_metric_and_restarts_the_clock() {
         let reg = Registry::new();
+        let c = reg.counter("late.counter");
+        let g = reg.gauge("late.gauge");
+        let h = reg.histogram("late.hist", &[10, 100]);
+        c.add(7);
+        g.set(9);
+        g.set(4);
+        h.record(50);
+        h.record(5_000);
         std::thread::sleep(std::time::Duration::from_millis(20));
         let before = reg.uptime_us();
         assert!(before >= 20_000);
-        reg.reset_epoch();
+        reg.reset();
         let after = reg.uptime_us();
         assert!(after < before, "uptime restarted: {after} < {before}");
+        assert_eq!(c.get(), 0);
+        assert_eq!((g.get(), g.high_water()), (0, 0));
+        assert_eq!(h.count(), 0);
+        let snap = reg.snapshot("after");
+        assert_eq!(snap.counter("late.counter"), 0);
+        assert_eq!(
+            snap.get("late.hist"),
+            Some(&MetricValue::Histogram {
+                buckets: [10, 100, u64::MAX]
+                    .map(|le| HistBucket { le, count: 0 })
+                    .to_vec(),
+                count: 0,
+                sum: 0,
+            })
+        );
+        // The handles stay live: counting resumes from zero.
+        c.inc();
+        assert_eq!(reg.snapshot("again").counter("late.counter"), 1);
     }
 }

@@ -10,9 +10,8 @@
 #[derive(Clone, Debug)]
 pub struct LatenessCdf {
     /// `bins[i]` counts packets `i` ms late (bin 0 = on time or early).
+    /// Later packets count only toward `total`.
     bins: Vec<u64>,
-    /// Packets later than the last bin.
-    overflow: u64,
     total: u64,
     max_late_us: u64,
     sum_late_us: u64,
@@ -23,7 +22,6 @@ impl LatenessCdf {
     pub fn new(max_ms: usize) -> LatenessCdf {
         LatenessCdf {
             bins: vec![0; max_ms.max(1)],
-            overflow: 0,
             total: 0,
             max_late_us: 0,
             sum_late_us: 0,
@@ -34,10 +32,8 @@ impl LatenessCdf {
     /// deadline (0 for on-time or early packets).
     pub fn record(&mut self, late_us: u64) {
         let bin = (late_us / 1_000) as usize;
-        if bin < self.bins.len() {
-            self.bins[bin] += 1;
-        } else {
-            self.overflow += 1;
+        if let Some(count) = self.bins.get_mut(bin) {
+            *count += 1;
         }
         self.total += 1;
         self.max_late_us = self.max_late_us.max(late_us);
@@ -89,18 +85,6 @@ impl LatenessCdf {
             out.push((ms, pct));
         }
         out
-    }
-
-    /// Merges another CDF into this one (same bin count required).
-    pub fn merge(&mut self, other: &LatenessCdf) {
-        assert_eq!(self.bins.len(), other.bins.len(), "bin counts differ");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.total += other.total;
-        self.max_late_us = self.max_late_us.max(other.max_late_us);
-        self.sum_late_us += other.sum_late_us;
     }
 }
 
@@ -167,20 +151,6 @@ mod tests {
         for w in curve.windows(2) {
             assert!(w[1].1 >= w[0].1);
         }
-    }
-
-    #[test]
-    fn merge_combines_totals() {
-        let mut a = LatenessCdf::new(20);
-        let mut b = LatenessCdf::new(20);
-        a.record(0);
-        a.record(5_000);
-        b.record(15_000);
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert!((a.pct_within_ms(5) - 66.666).abs() < 0.01);
-        assert!((a.max_ms() - 15.0).abs() < 1e-9);
-        assert!((a.mean_ms() - 20.0 / 3.0).abs() < 1e-6);
     }
 
     #[test]

@@ -327,17 +327,20 @@ impl Wire for SocketAddr {
     }
 }
 
-/// Writes one frame (length prefix + payload) to a stream.
+/// Writes one frame (length prefix + payload) to a stream and returns
+/// its length on the wire, prefix included.
 ///
-/// The payload is the wire encoding of `msg`. Flushing is left to the
-/// caller so several frames can be batched.
-pub fn write_frame<W: Write, T: Wire>(w: &mut W, msg: &T) -> io::Result<()> {
-    let payload = msg.to_bytes();
-    debug_assert!(payload.len() as u64 <= MAX_FRAME_LEN as u64);
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    w.write_all(&frame)
+/// The payload is the wire encoding of `msg`, encoded in place after a
+/// placeholder prefix that is patched once the length is known.
+/// Flushing is left to the caller so several frames can be batched.
+pub fn write_frame<W: Write, T: Wire>(w: &mut W, msg: &T) -> io::Result<usize> {
+    let mut frame = vec![0u8; 4];
+    msg.encode(&mut frame);
+    let payload_len = frame.len() - 4;
+    debug_assert!(payload_len as u64 <= MAX_FRAME_LEN as u64);
+    frame[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    w.write_all(&frame)?;
+    Ok(frame.len())
 }
 
 /// Reads one frame from a stream and decodes it.
@@ -345,6 +348,12 @@ pub fn write_frame<W: Write, T: Wire>(w: &mut W, msg: &T) -> io::Result<()> {
 /// Returns `Ok(None)` on a clean EOF at a frame boundary (the peer closed
 /// the connection between messages), an error otherwise.
 pub fn read_frame<R: Read, T: Wire>(r: &mut R) -> io::Result<Option<T>> {
+    Ok(read_frame_len(r)?.map(|(msg, _)| msg))
+}
+
+/// [`read_frame`], also returning the frame's length on the wire
+/// (prefix included), as parsed from its length prefix.
+pub fn read_frame_len<R: Read, T: Wire>(r: &mut R) -> io::Result<Option<(T, usize)>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -361,7 +370,7 @@ pub fn read_frame<R: Read, T: Wire>(r: &mut R) -> io::Result<Option<T>> {
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     T::from_bytes(&payload)
-        .map(Some)
+        .map(|msg| Some((msg, 4 + payload.len())))
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
@@ -605,6 +614,19 @@ mod tests {
             Vec::<u64>::from_bytes(&bytes),
             Err(WireError::BadLength { .. })
         ));
+    }
+
+    #[test]
+    fn frame_format_is_a_length_prefix_then_the_payload() {
+        let mut buf: Vec<u8> = Vec::new();
+        let n = write_frame(&mut buf, &String::from("abc")).unwrap();
+        // Prefix: payload length 7 as u32 LE. Payload: the string's
+        // own u32 LE length, then its bytes.
+        assert_eq!(buf, [7, 0, 0, 0, 3, 0, 0, 0, b'a', b'b', b'c']);
+        assert_eq!(n, buf.len());
+        let read: Option<(String, usize)> =
+            read_frame_len(&mut std::io::Cursor::new(&buf)).unwrap();
+        assert_eq!(read, Some(("abc".to_string(), buf.len())));
     }
 
     #[test]

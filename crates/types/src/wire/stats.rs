@@ -10,7 +10,8 @@
 //! Histograms travel as cumulative buckets, Prometheus-style: each
 //! [`HistBucket`] counts the samples `<= le`, and the final bucket has
 //! `le == u64::MAX` so the series always covers every sample. That makes
-//! [`MetricValue::quantile`] a single scan, and lets two snapshots be
+//! a quantile estimate a single scan (`calliope_obs::histogram_quantile`
+//! interpolates within the containing bucket), and lets two snapshots be
 //! subtracted bucket-wise to get a rate window.
 
 use super::{Reader, Wire, WireError};
@@ -63,21 +64,6 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
-    /// Estimates the `q`-quantile (`0.0..=1.0`) of a histogram as the
-    /// upper bound of the bucket containing that rank. Returns `None`
-    /// for non-histograms and empty histograms.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        let MetricValue::Histogram { buckets, count, .. } = self else {
-            return None;
-        };
-        if *count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * *count as f64).ceil() as u64).max(1);
-        buckets.iter().find(|b| b.count >= rank).map(|b| b.le)
-    }
-
     /// Mean of a histogram's samples, `None` if empty or not a
     /// histogram.
     pub fn mean(&self) -> Option<f64> {
@@ -261,30 +247,6 @@ mod tests {
         assert_eq!(snap.counter("net.packets_sent"), 42);
         assert_eq!(snap.counter("missing"), 0);
         assert!(snap.get("net.lateness_us").is_some());
-    }
-
-    #[test]
-    fn quantiles_pick_the_right_bucket() {
-        let h = sample_histogram();
-        // rank(0.5 * 10) = 5 -> first bucket with cum >= 5 is le=1000.
-        assert_eq!(h.quantile(0.5), Some(1000));
-        // rank 1 -> le=100.
-        assert_eq!(h.quantile(0.0), Some(100));
-        assert_eq!(h.quantile(0.4), Some(100));
-        // rank 10 -> overflow bucket.
-        assert_eq!(h.quantile(1.0), Some(u64::MAX));
-        assert_eq!(h.mean(), Some(500.0));
-        // Non-histograms and empty histograms have no quantiles.
-        assert_eq!(MetricValue::Counter(5).quantile(0.5), None);
-        let empty = MetricValue::Histogram {
-            buckets: vec![HistBucket {
-                le: u64::MAX,
-                count: 0,
-            }],
-            count: 0,
-            sum: 0,
-        };
-        assert_eq!(empty.quantile(0.99), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use calliope::cluster::Cluster;
 use calliope::content;
-use calliope_obs::FlightCode;
+use calliope_obs::{histogram_quantile, FlightCode};
 use calliope_types::wire::messages::DoneReason;
 use calliope_types::wire::stats::MetricValue;
 use calliope_types::SpanKind;
@@ -48,7 +48,7 @@ fn stats_over_the_wire_reflect_a_played_stream() {
         panic!("admission.queue_wait_us must be a histogram, got {wait:?}");
     };
     assert_eq!(*count, 2, "every admission records its queue wait");
-    assert!(wait.quantile(0.99).is_some());
+    assert!(histogram_quantile(wait, 0.99).is_some());
 
     let msu = snaps
         .iter()
@@ -198,7 +198,7 @@ fn cluster_stats_merge_heartbeat_snapshots() {
     assert!(matches!(late, MetricValue::Histogram { .. }));
     for p in [0.50, 0.95, 0.99] {
         assert!(
-            late.quantile(p).is_some(),
+            histogram_quantile(late, p).is_some(),
             "p{} of send lateness",
             p * 100.0
         );
